@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,10 +71,14 @@ inline int benchSimThreads() {
 }
 
 /// Tail-latency summary of one sample set (any unit; the caller picks).
-/// P999 needs ~1000 samples to be meaningful; below that it degrades
-/// toward the max, which is still the honest tail answer.
+/// A quantile is estimated from the samples beyond it, so P999 is set
+/// only when at least MinTailSamples lie past it (10000 samples in all);
+/// with fewer it stays empty instead of quietly becoming the max.
 struct Percentiles {
-  double P50 = 0, P95 = 0, P99 = 0, P999 = 0;
+  static constexpr size_t MinTailSamples = 10;
+  size_t Samples = 0;
+  double P50 = 0, P95 = 0, P99 = 0;
+  std::optional<double> P999;
 };
 
 /// p50/p95/p99/p999 of \p Samples by linear interpolation between order
@@ -81,6 +86,7 @@ struct Percentiles {
 /// serve and net harnesses so their tail numbers are comparable.
 inline Percentiles latencyPercentiles(std::vector<double> Samples) {
   Percentiles P;
+  P.Samples = Samples.size();
   if (Samples.empty())
     return P;
   std::sort(Samples.begin(), Samples.end());
@@ -94,7 +100,12 @@ inline Percentiles latencyPercentiles(std::vector<double> Samples) {
   P.P50 = At(0.50);
   P.P95 = At(0.95);
   P.P99 = At(0.99);
-  P.P999 = At(0.999);
+  // The samples strictly above the 99.9th percentile's interpolation point.
+  size_t Beyond = Samples.size() - 1 -
+                  static_cast<size_t>(
+                      0.999 * static_cast<double>(Samples.size() - 1));
+  if (Beyond >= Percentiles::MinTailSamples)
+    P.P999 = At(0.999);
   return P;
 }
 

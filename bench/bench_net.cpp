@@ -12,7 +12,8 @@
 //   rate sweep  - Poisson arrivals (open loop: the submission schedule
 //                 never waits for results) across several connections at
 //                 0.5x / 1x / 2x the calibrated rate, reporting achieved
-//                 jobs/sec and p50/p95/p99 submit-to-result latency;
+//                 jobs/sec, p50/p95/p99 latency from each job's due time
+//                 to its result, and how late the sender ran (lag p99);
 //   coalescing  - the overload point rerun with --coalesce-window 1 vs 8:
 //                 merging compatible same-client vecadd jobs into one
 //                 multi-shred dispatch raises saturation throughput.
@@ -92,7 +93,8 @@ struct ServerRig {
 
 /// What one connection observed.
 struct ConnOut {
-  std::vector<double> LatencyMs; ///< submit-to-result, completed jobs
+  std::vector<double> LatencyMs; ///< due-to-result, completed jobs
+  std::vector<double> LagMs;     ///< send time minus due time, every job
   Clock::time_point FirstSend, LastDone;
   uint64_t Completed = 0, Other = 0;
 };
@@ -115,7 +117,7 @@ void runConn(uint16_t Port, unsigned Jobs, double Rate, uint64_t Seed,
     cantFail(C.surface(S));
   }
 
-  std::vector<Clock::time_point> SendAt(Jobs), DoneAt(Jobs);
+  std::vector<Clock::time_point> DueAt(Jobs), DoneAt(Jobs);
   std::thread Reader([&] {
     for (unsigned J = 0; J < Jobs; ++J) {
       auto R = C.readResult();
@@ -145,9 +147,15 @@ void runConn(uint16_t Port, unsigned Jobs, double Rate, uint64_t Seed,
       Due += std::chrono::duration_cast<Clock::duration>(
           std::chrono::duration<double>(Gap));
       std::this_thread::sleep_until(Due);
+    } else {
+      Due = Clock::now(); // closed loop: a job is due when it can be sent
     }
+    // Latency runs from the due time, so a sender that wakes late charges
+    // its lag to the jobs it delayed instead of hiding it.
     M.Tag = J;
-    SendAt[J] = Clock::now();
+    DueAt[J] = Due;
+    Out->LagMs.push_back(
+        std::chrono::duration<double, std::milli>(Clock::now() - Due).count());
     cantFail(C.submit(M));
   }
   Reader.join();
@@ -156,7 +164,7 @@ void runConn(uint16_t Port, unsigned Jobs, double Rate, uint64_t Seed,
   Out->LastDone = Out->FirstSend;
   for (unsigned J = 0; J < Jobs; ++J) {
     Out->LatencyMs.push_back(
-        std::chrono::duration<double, std::milli>(DoneAt[J] - SendAt[J])
+        std::chrono::duration<double, std::milli>(DoneAt[J] - DueAt[J])
             .count());
     Out->LastDone = std::max(Out->LastDone, DoneAt[J]);
   }
@@ -164,7 +172,7 @@ void runConn(uint16_t Port, unsigned Jobs, double Rate, uint64_t Seed,
 
 struct TrialResult {
   double JobsPerSec = 0;
-  Percentiles LatMs;
+  Percentiles LatMs, LagMs;
   uint64_t Completed = 0, Other = 0;
   uint64_t CoalescedBatches = 0, CoalescedJobs = 0;
 };
@@ -188,18 +196,20 @@ TrialResult runTrial(unsigned Window, unsigned Conns, unsigned Jobs,
   TrialResult R;
   R.CoalescedBatches = S.Server->server().stats().CoalescedBatches;
   R.CoalescedJobs = S.Server->server().stats().CoalescedJobs;
-  std::vector<double> Pool;
+  std::vector<double> Pool, LagPool;
   Clock::time_point First = Outs[0].FirstSend, Last = Outs[0].LastDone;
   for (const ConnOut &O : Outs) {
     First = std::min(First, O.FirstSend);
     Last = std::max(Last, O.LastDone);
     Pool.insert(Pool.end(), O.LatencyMs.begin(), O.LatencyMs.end());
+    LagPool.insert(LagPool.end(), O.LagMs.begin(), O.LagMs.end());
     R.Completed += O.Completed;
     R.Other += O.Other;
   }
   double Sec = std::chrono::duration<double>(Last - First).count();
   R.JobsPerSec = Sec > 0 ? static_cast<double>(Conns) * Jobs / Sec : 0;
   R.LatMs = latencyPercentiles(std::move(Pool));
+  R.LagMs = latencyPercentiles(std::move(LagPool));
   return R;
 }
 
@@ -310,19 +320,26 @@ FaultTrial runFaultTrial(double Rate, unsigned Conns, unsigned Jobs,
   return T;
 }
 
+/// P999 printed with \p Fmt, or \p Absent when too few samples lie
+/// beyond it to estimate it.
+std::string p999Or(const Percentiles &P, const char *Fmt, const char *Absent) {
+  return P.P999 ? formatString(Fmt, *P.P999) : std::string(Absent);
+}
+
 void printFaultRow(const char *Label, double Rate, const FaultTrial &T) {
-  std::printf("%-14s %8.3f %10.0f %9llu %9.3f %8.2f %8.2f %8.2f\n", Label,
+  std::printf("%-14s %8.3f %10.0f %9llu %9.3f %8.2f %8.2f %8s\n", Label,
               Rate < 0 ? 0.0 : Rate, T.GoodputPerSec,
               static_cast<unsigned long long>(T.Completed),
-              T.RetryAmplification, T.LatMs.P50, T.LatMs.P99, T.LatMs.P999);
+              T.RetryAmplification, T.LatMs.P50, T.LatMs.P99,
+              p999Or(T.LatMs, "%.2f", "n/a").c_str());
 }
 
 void printRow(const char *Label, double RateTarget, const TrialResult &R) {
-  std::printf("%-14s %10.0f %10.0f %9llu %8llu %8.2f %8.2f %8.2f\n", Label,
-              RateTarget, R.JobsPerSec,
+  std::printf("%-14s %10.0f %10.0f %9llu %8llu %8.2f %8.2f %8.2f %8.3f\n",
+              Label, RateTarget, R.JobsPerSec,
               static_cast<unsigned long long>(R.Completed),
               static_cast<unsigned long long>(R.Other), R.LatMs.P50,
-              R.LatMs.P95, R.LatMs.P99);
+              R.LatMs.P95, R.LatMs.P99, R.LagMs.P99);
 }
 
 } // namespace
@@ -404,8 +421,9 @@ int main(int Argc, char **Argv) {
   std::printf("\n=== ExoNet open-loop sweep (%u conns, %u jobs/conn, "
               "Poisson) ===\n",
               Conns, Jobs);
-  std::printf("%-14s %10s %10s %9s %8s %8s %8s %8s\n", "rate", "target/s",
-              "achieved/s", "completed", "other", "p50ms", "p95ms", "p99ms");
+  std::printf("%-14s %10s %10s %9s %8s %8s %8s %8s %8s\n", "rate",
+              "target/s", "achieved/s", "completed", "other", "p50ms",
+              "p95ms", "p99ms", "lag99ms");
   for (SweepPoint &P : Sweep) {
     P.R = runTrial(1, Conns, Jobs, P.RateTarget);
     printRow(P.Label.c_str(), P.RateTarget, P.R);
@@ -419,8 +437,9 @@ int main(int Argc, char **Argv) {
   std::printf("\n=== Request coalescing at overload (%.0f jobs/sec "
               "offered) ===\n",
               Overload);
-  std::printf("%-14s %10s %10s %9s %8s %8s %8s %8s\n", "window", "target/s",
-              "achieved/s", "completed", "other", "p50ms", "p95ms", "p99ms");
+  std::printf("%-14s %10s %10s %9s %8s %8s %8s %8s %8s\n", "window",
+              "target/s", "achieved/s", "completed", "other", "p50ms",
+              "p95ms", "p99ms", "lag99ms");
   printRow("window-1", Overload, W1);
   printRow("window-8", Overload, W8);
   std::printf("coalescing speedup: %.2fx (window-8 merged %llu jobs into "
@@ -482,14 +501,17 @@ int main(int Argc, char **Argv) {
                  "    {\"config\": \"%s\", \"rate_target\": %.1f, "
                  "\"jobs_per_sec\": %.1f, \"completed\": %llu, "
                  "\"other\": %llu, \"coalesced_batches\": %llu, "
-                 "\"coalesced_jobs\": %llu, \"latency_ms\": {\"p50\": %.3f, "
-                 "\"p95\": %.3f, \"p99\": %.3f, \"p999\": %.3f}}%s\n",
+                 "\"coalesced_jobs\": %llu, \"latency_ms\": {\"samples\": %zu, "
+                 "\"p50\": %.3f, \"p95\": %.3f, \"p99\": %.3f, \"p999\": %s}, "
+                 "\"lag_ms\": {\"p50\": %.3f, \"p99\": %.3f}}%s\n",
                  Name, Target, R.JobsPerSec,
                  static_cast<unsigned long long>(R.Completed),
                  static_cast<unsigned long long>(R.Other),
                  static_cast<unsigned long long>(R.CoalescedBatches),
-                 static_cast<unsigned long long>(R.CoalescedJobs), R.LatMs.P50,
-                 R.LatMs.P95, R.LatMs.P99, R.LatMs.P999, Trail);
+                 static_cast<unsigned long long>(R.CoalescedJobs),
+                 R.LatMs.Samples, R.LatMs.P50, R.LatMs.P95, R.LatMs.P99,
+                 p999Or(R.LatMs, "%.3f", "null").c_str(), R.LagMs.P50,
+                 R.LagMs.P99, Trail);
   };
   std::fprintf(F,
                "{\n  \"bench\": \"net\",\n  \"scale\": %g,\n"
@@ -511,7 +533,8 @@ int main(int Argc, char **Argv) {
                  "\"other\": %llu, \"retry_amplification\": %.4f, "
                  "\"resubmits\": %llu, \"dedup_replays\": %llu, "
                  "\"faults_injected\": %llu, \"latency_ms\": "
-                 "{\"p50\": %.3f, \"p99\": %.3f, \"p999\": %.3f}}%s\n",
+                 "{\"samples\": %zu, \"p50\": %.3f, \"p99\": %.3f, "
+                 "\"p999\": %s}}%s\n",
                  P.Label, P.Rate < 0 ? 0.0 : P.Rate, P.T.GoodputPerSec,
                  static_cast<unsigned long long>(P.T.Completed),
                  static_cast<unsigned long long>(P.T.Other),
@@ -519,7 +542,8 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(P.T.Resubmits),
                  static_cast<unsigned long long>(P.T.DedupReplays),
                  static_cast<unsigned long long>(P.T.FaultsInjected),
-                 P.T.LatMs.P50, P.T.LatMs.P99, P.T.LatMs.P999,
+                 P.T.LatMs.Samples, P.T.LatMs.P50, P.T.LatMs.P99,
+                 p999Or(P.T.LatMs, "%.3f", "null").c_str(),
                  K + 1 < 4 ? "," : "");
   }
   std::fprintf(F,

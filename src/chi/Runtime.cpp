@@ -231,6 +231,18 @@ Expected<RegionHandle> Runtime::dispatch(const RegionSpec &Spec) {
   if (!Surfaces)
     return Surfaces.takeError();
 
+  // Each dispatch with scalar params takes a fresh shred-record buffer
+  // from the bump allocator. Refuse, before any side effect, once that
+  // buffer would cross the top of the 32-bit address space.
+  size_t NumParams = LK.Section.ScalarParams.size();
+  uint64_t RecordBytes = static_cast<uint64_t>(Spec.NumThreads) * NumParams * 4;
+  if (NumParams > 0 && !Platform.canAllocateShared(RecordBytes))
+    return Error::make(formatString(
+        "shared virtual memory exhausted: no room below 4 GiB for the "
+        "%llu-byte shred records of '%s'",
+        static_cast<unsigned long long>(RecordBytes),
+        Spec.KernelName.c_str()));
+
   RegionStats Stats;
   Stats.SubmitNs = Clock;
   Stats.ShredsSpawned = Spec.NumThreads;
@@ -311,12 +323,10 @@ Expected<RegionHandle> Runtime::dispatch(const RegionSpec &Spec) {
   // them.)
   gma::GmaDevice &Device = Platform.device();
   Device.resetStats();
-  size_t NumParams = LK.Section.ScalarParams.size();
   mem::VirtAddr RecordBase = 0;
   if (NumParams > 0) {
-    exo::SharedBuffer Records = Platform.allocateShared(
-        static_cast<uint64_t>(Spec.NumThreads) * NumParams * 4,
-        Spec.KernelName + ".shredq");
+    exo::SharedBuffer Records =
+        Platform.allocateShared(RecordBytes, Spec.KernelName + ".shredq");
     RecordBase = Records.Base;
   }
   std::vector<gma::ShredDescriptor> Descs;

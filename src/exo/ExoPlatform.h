@@ -104,6 +104,11 @@ public:
   /// IA32 sequencer and (through ATR) the exo-sequencers can access it at
   /// the same virtual addresses.
   SharedBuffer allocateShared(uint64_t Bytes, std::string Name);
+  /// Whether allocateShared(\p Bytes) still fits in the 32-bit address
+  /// space (addresses are never reused).
+  bool canAllocateShared(uint64_t Bytes) const {
+    return Allocator.fits(Bytes);
+  }
 
   /// Host-side typed access to shared memory (the IA32 sequencer's view).
   template <typename T> T load(mem::VirtAddr Va) { return AS.load<T>(Va); }

@@ -52,18 +52,34 @@ void Ia32AddressSpace::unmapPage(VirtAddr VA) {
     PM.write32(Slot, 0);
 }
 
+/// The first region starting above \p VA in the Start-sorted \p Regions.
+template <typename RegionVec>
+static auto firstAbove(RegionVec &Regions, VirtAddr VA) {
+  return std::upper_bound(
+      Regions.begin(), Regions.end(), VA,
+      [](VirtAddr A, const auto &R) { return A < R.Start; });
+}
+
 void Ia32AddressSpace::reserve(VirtAddr VA, uint64_t Size, bool Writable,
                                std::string Name) {
   assert(pageOffset(VA) == 0 && "regions must be page-aligned");
-  Regions.push_back({VA, Size, Writable, std::move(Name)});
+  auto It = firstAbove(Regions, VA);
+  assert((It == Regions.end() || VA + Size <= It->Start) &&
+         "region overlaps the next one");
+  assert((It == Regions.begin() ||
+          std::prev(It)->Start + std::prev(It)->Size <= VA) &&
+         "region overlaps the previous one");
+  // Bump-allocated buffers arrive in address order, so this appends.
+  Regions.insert(It, {VA, Size, Writable, std::move(Name)});
 }
 
 const Ia32AddressSpace::Region *
 Ia32AddressSpace::findRegion(VirtAddr VA) const {
-  for (const Region &R : Regions)
-    if (VA >= R.Start && VA < R.Start + R.Size)
-      return &R;
-  return nullptr;
+  auto It = firstAbove(Regions, VA);
+  if (It == Regions.begin())
+    return nullptr;
+  --It;
+  return VA - It->Start < It->Size ? &*It : nullptr;
 }
 
 Expected<Translation> Ia32AddressSpace::translate(VirtAddr VA, bool IsWrite,

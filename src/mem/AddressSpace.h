@@ -135,10 +135,12 @@ private:
   /// the page table if \p Alloc. Returns 0 when absent and !Alloc.
   PhysAddr pteSlot(VirtAddr VA, bool Alloc);
   PhysAddr pteSlotConst(VirtAddr VA) const;
+  /// The reserved region containing \p VA, or null (binary search).
   const Region *findRegion(VirtAddr VA) const;
 
   PhysicalMemory &PM;
   uint64_t DirFrame;
+  /// Sorted by Start; reserve() keeps the regions disjoint.
   std::vector<Region> Regions;
   uint64_t NumDemandFaults = 0;
 };
@@ -148,18 +150,33 @@ private:
 /// never share a page (keeps flush accounting per-buffer exact).
 class VirtualAllocator {
 public:
+  /// The top of the 32-bit IA32 address space. Past it the page walk's
+  /// directory index wraps, and new pages would alias the PTEs of live
+  /// buffers.
+  static constexpr VirtAddr Limit = 1ull << 32;
+
   explicit VirtualAllocator(VirtAddr Base = 0x10000000ull) : Next(Base) {}
 
+  /// Whether \p Size more bytes (rounded up to whole pages) fit below
+  /// Limit. The allocator never reuses addresses, so callers that
+  /// allocate per request must check this and report exhaustion.
+  bool fits(uint64_t Size) const { return Limit - Next >= roundUp(Size); }
+
   /// Reserves \p Size bytes (rounded up to whole pages) and returns the
-  /// start address.
+  /// start address. The range must fit().
   VirtAddr allocate(uint64_t Size) {
+    assert(fits(Size) && "IA32 address space exhausted");
     VirtAddr A = Next;
-    uint64_t Pages = (Size + PageSize - 1) / PageSize;
-    Next += Pages * PageSize;
+    Next += roundUp(Size);
     return A;
   }
 
 private:
+  static uint64_t roundUp(uint64_t Size) {
+    return (Size + PageSize - 1) / PageSize * PageSize;
+  }
+
+
   VirtAddr Next;
 };
 

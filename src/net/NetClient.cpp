@@ -239,9 +239,8 @@ Expected<wire::Frame> NetClient::readFrame() {
                   Error::make("stream error: " + In.error()));
     if (!Sock.valid())
       return fail(ErrKind::Transport, Error::make("connection is closed"));
-    std::vector<uint8_t> Chunk;
     std::string Err;
-    long K = Sock.recvSome(Chunk, 64 * 1024, Err);
+    long K = Sock.recvSome(RecvBuf.data(), RecvBuf.size(), Err);
     if (K == 0)
       return fail(ErrKind::Transport,
                   Error::make("connection closed by server"));
@@ -251,7 +250,7 @@ Expected<wire::Frame> NetClient::readFrame() {
                                            Cfg.CallTimeoutSec)));
     if (K == -1)
       return fail(ErrKind::Transport, Error::make("recv failed: " + Err));
-    In.feed(Chunk);
+    In.feed(RecvBuf.data(), static_cast<size_t>(K));
   }
 }
 

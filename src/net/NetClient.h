@@ -203,6 +203,8 @@ private:
   Target Targ;
   Socket Sock;
   wire::FrameParser In;
+  /// readFrame's receive buffer (reader side only), allocated once.
+  std::vector<uint8_t> RecvBuf = std::vector<uint8_t>(64 * 1024);
   std::deque<wire::ResultMsg> Results; ///< Results read while expecting
   /// tag -> the Submit to replay on reconnect (Retries > 0 only).
   std::map<uint64_t, wire::SubmitMsg> Outstanding;

@@ -35,6 +35,9 @@
 ///    connection. Resumable sessions (wire::HelloResumable) survive an
 ///    abrupt disconnect: their jobs keep running, results land in the
 ///    cache, and a reconnect with the same session id picks them up;
+///  - output batching: frames only append to the connection's buffer,
+///    and the loop sends each connection's pending bytes at two flush
+///    points per turn — one send() per connection, not one per frame;
 ///  - NetChaos (net/NetFault.h): an armed injector perturbs every
 ///    outbound frame — drop / truncate+close / stall / duplicate /
 ///    disconnect — on a seeded deterministic schedule. Disarmed, the
@@ -59,6 +62,7 @@
 #include <list>
 #include <map>
 #include <optional>
+#include <poll.h>
 #include <set>
 
 namespace exochi {
@@ -221,8 +225,8 @@ private:
   Error ensureSurface(Conn &C, const wire::SurfaceMsg &M);
   void fillSurface(const SurfaceRec &Rec, const wire::SurfaceMsg &M);
 
-  /// Appends a frame to the connection's outgoing buffer and tries an
-  /// opportunistic non-blocking flush. The NetChaos probe site: an
+  /// Appends a frame to the connection's outgoing buffer; run() sends
+  /// it at the turn's next flush point. The NetChaos probe site: an
   /// armed injector may drop, truncate, stall, duplicate, or
   /// disconnect-after this frame.
   void queueFrame(Conn &C, wire::MsgType T, std::vector<uint8_t> Frame);
@@ -230,7 +234,11 @@ private:
   void enqueueBytes(Conn &C, std::vector<uint8_t> Frame);
   /// Moves Delayed frames whose release time has passed into Out.
   void releaseDelayed(Conn &C);
+  /// Non-blocking send of the connection's pending bytes; on EAGAIN the
+  /// rest waits for POLLOUT.
   void flushOut(Conn &C);
+  /// flushOut for every connection with pending bytes.
+  void flushAll();
   /// Sends a protocol Error frame and marks the connection closing.
   void protocolError(Conn &C, const std::string &Reason);
 
@@ -266,6 +274,11 @@ private:
   bool Drained = false;
   std::atomic<bool> Running{false};
   int WakeR = -1, WakeW = -1; ///< self-pipe: stop() wakes poll()
+  /// Loop-thread scratch reused every turn: the poll set, the
+  /// connections behind its entries, and the receive buffer.
+  std::vector<pollfd> PollFds;
+  std::vector<Conn *> Polled;
+  std::vector<uint8_t> RecvBuf;
 };
 
 } // namespace net

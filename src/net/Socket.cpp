@@ -102,11 +102,9 @@ Error Socket::sendAll(const uint8_t *Data, size_t N) {
   return Error::success();
 }
 
-long Socket::recvSome(std::vector<uint8_t> &Out, size_t Max,
-                      std::string &Err) {
-  std::vector<uint8_t> Tmp(Max);
+long Socket::recvSome(uint8_t *Buf, size_t Max, std::string &Err) {
   for (;;) {
-    ssize_t R = ::recv(Fd, Tmp.data(), Max, 0);
+    ssize_t R = ::recv(Fd, Buf, Max, 0);
     if (R < 0) {
       if (errno == EINTR)
         continue;
@@ -115,8 +113,6 @@ long Socket::recvSome(std::vector<uint8_t> &Out, size_t Max,
       Err = std::strerror(errno);
       return -1;
     }
-    if (R > 0)
-      Out.insert(Out.end(), Tmp.begin(), Tmp.begin() + R);
     return R;
   }
 }

@@ -67,10 +67,10 @@ public:
     return sendAll(Data.data(), Data.size());
   }
 
-  /// One recv() of at most \p Max bytes appended to \p Out. Returns the
-  /// byte count, 0 on orderly EOF; -1 with \p Err set on failure, or -2
-  /// when the socket is non-blocking and no data is ready.
-  long recvSome(std::vector<uint8_t> &Out, size_t Max, std::string &Err);
+  /// One recv() of at most \p Max bytes into the caller's \p Buf.
+  /// Returns the byte count, 0 on orderly EOF; -1 with \p Err set on
+  /// failure, or -2 when the socket is non-blocking and no data is ready.
+  long recvSome(uint8_t *Buf, size_t Max, std::string &Err);
 
 private:
   int Fd = -1;

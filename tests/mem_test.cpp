@@ -151,6 +151,46 @@ TEST(AddressSpaceTest, AccessedAndDirtyBitsSet) {
   EXPECT_TRUE(AfterWrite & ia32::PteDirty);
 }
 
+// Region lookup is a binary search over Start-sorted regions, whatever
+// order they were reserved in: a region's first and last byte resolve to
+// it, one past its end does not, and where two regions touch, the byte
+// after the first belongs to the second (with its permissions).
+TEST(AddressSpaceTest, RegionLookupAfterOutOfOrderReserves) {
+  PhysicalMemory PM;
+  Ia32AddressSpace AS(PM);
+  AS.reserve(0x30000000, 2 * PageSize, /*Writable=*/true, "c");
+  AS.reserve(0x10000000, PageSize, /*Writable=*/true, "a");
+  AS.reserve(0x20003000, PageSize, /*Writable=*/true, "b-rw");
+  AS.reserve(0x20000000, 3 * PageSize, /*Writable=*/false, "b-ro");
+
+  auto kindAt = [&](VirtAddr VA) {
+    PageFault F;
+    EXPECT_FALSE(static_cast<bool>(AS.translate(VA, /*IsWrite=*/false, &F)));
+    return F.Kind;
+  };
+  const std::pair<VirtAddr, uint64_t> Spans[] = {
+      {0x10000000, PageSize}, {0x20000000, 4 * PageSize},
+      {0x30000000, 2 * PageSize}};
+  for (auto [Start, Size] : Spans) {
+    EXPECT_EQ(kindAt(Start - 1), FaultKind::NotPresent) << std::hex << Start;
+    EXPECT_EQ(kindAt(Start), FaultKind::DemandPage) << std::hex << Start;
+    EXPECT_EQ(kindAt(Start + Size - 1), FaultKind::DemandPage)
+        << std::hex << Start;
+    EXPECT_EQ(kindAt(Start + Size), FaultKind::NotPresent)
+        << std::hex << Start;
+  }
+
+  // The last byte of read-only "b-ro" refuses a write fault; the next
+  // byte is the first of writable "b-rw".
+  PageFault W;
+  W.Kind = FaultKind::DemandPage;
+  W.IsWrite = true;
+  W.Addr = 0x20002fff;
+  EXPECT_FALSE(AS.handleFault(W));
+  W.Addr = 0x20003000;
+  EXPECT_TRUE(AS.handleFault(W));
+}
+
 TEST(AddressSpaceTest, ReadWriteThroughVirtualMapping) {
   PhysicalMemory PM;
   Ia32AddressSpace AS(PM);

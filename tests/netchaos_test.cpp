@@ -322,9 +322,9 @@ TEST(SocketTimeoutTest, PredicateIgnoresOtherErrors) {
 TEST(ErrKindTest, ServerThenProtocolErrorsAreNotRetryable) {
   // A peer that welcomes, then sends an Error frame, then raw garbage.
   FakeServer F([](Socket &S) {
-    std::vector<uint8_t> Hello;
+    uint8_t Hello[4096];
     std::string Err;
-    (void)S.recvSome(Hello, 4096, Err);
+    (void)S.recvSome(Hello, sizeof(Hello), Err);
     wire::WelcomeMsg W;
     W.ClientId = 7;
     (void)S.sendAll(wire::encode(W));
@@ -349,9 +349,9 @@ TEST(ErrKindTest, ServerThenProtocolErrorsAreNotRetryable) {
 
 TEST(ErrKindTest, EofIsATransportError) {
   FakeServer F([](Socket &S) {
-    std::vector<uint8_t> Hello;
+    uint8_t Hello[4096];
     std::string Err;
-    (void)S.recvSome(Hello, 4096, Err);
+    (void)S.recvSome(Hello, sizeof(Hello), Err);
     wire::WelcomeMsg W;
     W.ClientId = 3;
     (void)S.sendAll(wire::encode(W));
@@ -368,9 +368,9 @@ TEST(ErrKindTest, RecvTimeoutIsATransportErrorNotProtocol) {
   // The pre-NetChaos client collapsed timeouts and wire poison into one
   // error string; retry layers need them distinguishable.
   FakeServer F([](Socket &S) {
-    std::vector<uint8_t> Hello;
+    uint8_t Hello[4096];
     std::string Err;
-    (void)S.recvSome(Hello, 4096, Err);
+    (void)S.recvSome(Hello, sizeof(Hello), Err);
     wire::WelcomeMsg W;
     W.ClientId = 5;
     (void)S.sendAll(wire::encode(W));

@@ -546,6 +546,36 @@ TEST(ServerTest, UnknownKernelFailsJobWithoutPoisoningServer) {
   R.verifyResult();
 }
 
+// Each dispatch of a kernel with scalar params takes fresh shred-record
+// pages, and addresses are never reused. With one page left below 4 GiB
+// the first job runs; the next fails with the reason instead of wrapping
+// onto live page-table entries, and the server keeps answering.
+TEST(ServerTest, AddressSpaceExhaustionFailsJobWithReason) {
+  ServeRig R;
+  mem::VirtAddr Next =
+      R.Platform.allocateShared(1, "probe").Base + mem::PageSize;
+  R.Platform.allocateShared(
+      mem::VirtualAllocator::Limit - Next - mem::PageSize, "filler");
+  ASSERT_TRUE(R.Platform.canAllocateShared(mem::PageSize));
+  ASSERT_FALSE(R.Platform.canAllocateShared(mem::PageSize + 1));
+
+  Server Srv(R.RT);
+  JobId First = Srv.submit(R.makeJob()).Id;
+  JobId Second = Srv.submit(R.makeJob()).Id;
+  Srv.runAll();
+  EXPECT_EQ(Srv.job(First)->State, JobState::Completed);
+  R.verifyResult();
+  const JobRecord *J = Srv.job(Second);
+  EXPECT_EQ(J->State, JobState::Failed);
+  EXPECT_NE(J->Error.find("4 GiB"), std::string::npos) << J->Error;
+
+  JobId Third = Srv.submit(R.makeJob()).Id;
+  Srv.runAll();
+  EXPECT_EQ(Srv.job(Third)->State, JobState::Failed);
+  EXPECT_EQ(Srv.stats().Completed, 1u);
+  EXPECT_EQ(Srv.stats().Failed, 2u);
+}
+
 TEST(ServerTest, DeadlinePreemptedJobIsTerminalAndCounted) {
   ServeRig R;
   Server Srv(R.RT);
