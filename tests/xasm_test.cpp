@@ -203,6 +203,11 @@ struct DiagCase {
   const char *ExpectSubstr;
 };
 
+// Without a printer gtest dumps the struct's bytes, i.e. the pointer values,
+// into the test listing, so the discovered test names would change from one
+// run to the next.
+void PrintTo(const DiagCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class AssemblerDiagTest : public ::testing::TestWithParam<DiagCase> {};
 
 TEST_P(AssemblerDiagTest, ReportsError) {
