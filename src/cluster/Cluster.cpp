@@ -166,7 +166,7 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
       // retire when nothing is worth stealing. Device thieves take the
       // back half (classic splitting — the victim keeps a contiguous
       // front). The host lane takes ONE shred at a time: its serial
-      // IA32 interpreter is far slower per shred than a device wave, so
+      // IA32 sequencer is far slower per shred than a device wave, so
       // a big grab turns the helper into the critical path and invites
       // steal-back ping-pong.
       Lane *Victim = nullptr;
@@ -231,9 +231,9 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
     }
 
     if (L.Host) {
-      // Host lane: one shred at a time through the proxy's IA32
-      // interpreter (fine granularity steals better, and the host has a
-      // single sequencer anyway).
+      // Host lane: one shred at a time through the proxy (fine
+      // granularity steals better, and the host has a single sequencer
+      // anyway).
       const gma::ShredDescriptor &D = Descs[L.Lo];
       const gma::KernelImage *Kern =
           Platform.device(0).kernelTable()->get(D.KernelId);
@@ -244,8 +244,7 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
       gma::OrphanShred O;
       O.ShredId = D.FixedShredId;
       O.KernelId = D.KernelId;
-      O.KernelName = Kern->Name;
-      O.Code = &Kern->Code;
+      O.Kernel = Kern;
       O.Params = D.Params;
       O.Surfaces = D.Surfaces;
       O.RecordVa = D.RecordVa;

@@ -21,13 +21,17 @@
 ///    semantics on the IA32 side, and the results are written back into
 ///    the exo-sequencer's register file before the shred resumes.
 ///
+/// As the last rung of the FaultLab degradation ladder it also runs
+/// orphaned shreds on the IA32 host lane (xjit::HostLane).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXOCHI_EXO_PROXYEXECUTION_H
 #define EXOCHI_EXO_PROXYEXECUTION_H
 
-#include "gma/Gma.h"
+#include "gma/Ceh.h"
 #include "mem/AddressSpace.h"
+#include "xjit/Xjit.h"
 
 #include <cstdint>
 
@@ -57,13 +61,8 @@ struct ProxyParams {
   gma::TimeNs OrphanInstrNs = 5.0;
 };
 
-/// How the structured-exception-handling layer treats integer divide by
-/// zero raised on an exo-sequencer (the application-level handler of
-/// paper Section 3.3).
-enum class DivZeroPolicy : uint8_t {
-  Fault,     ///< terminate the shred (default OS behaviour)
-  WriteZero, ///< the handler writes 0 into the offending lanes and resumes
-};
+/// The SEH divide-by-zero policy, shared with the host lane (gma/Ceh.h).
+using gma::DivZeroPolicy;
 
 /// Statistics of proxy activity on the IA32 sequencer.
 struct ProxyStats {
@@ -79,14 +78,14 @@ struct ProxyStats {
   uint64_t CehRetries = 0;          ///< CEH handler timeout retries
   uint64_t DoubleFaults = 0;        ///< second walk missed after fault service
   uint64_t OrphansEmulated = 0;     ///< orphan shreds run on the host lane
-  uint64_t OrphanInstructions = 0;  ///< instructions interpreted on that lane
+  uint64_t OrphanInstructions = 0;  ///< instructions executed on that lane
 };
 
 /// The IA32-side proxy handler installed into the GMA device.
 class ExoProxyHandler : public gma::ProxySignalHandler {
 public:
   ExoProxyHandler(mem::Ia32AddressSpace &AS, ProxyParams Params = ProxyParams())
-      : AS(AS), Params(Params) {}
+      : AS(AS), Params(Params), Host(AS) {}
 
   void setDivZeroPolicy(DivZeroPolicy P) { DivZero = P; }
 
@@ -109,21 +108,12 @@ public:
   Expected<gma::TimeNs> onShredOrphaned(const gma::OrphanShred &O) override;
 
 private:
-  /// Emulates a double-precision (df) ALU/compare/convert instruction
-  /// with IEEE-double semantics through the register view.
-  Error emulateF64(const isa::Instruction &I, gma::ShredRegView &Regs);
-
-  /// Copies between host buffer and shared virtual memory, servicing
-  /// demand-page faults through the OS. Unlike Ia32AddressSpace::read /
-  /// write (which abort), unserviceable faults come back as an Error so
-  /// the host lane can diagnose rather than kill the process.
-  Error hostCopy(mem::VirtAddr Va, void *Buf, uint64_t Size, bool IsWrite);
-
   mem::Ia32AddressSpace &AS;
   ProxyParams Params;
   DivZeroPolicy DivZero = DivZeroPolicy::Fault;
   ProxyStats Stats;
   fault::FaultInjector *Inj = nullptr;
+  xjit::HostLane Host; ///< caches one host trace per kernel
 };
 
 } // namespace exo

@@ -182,6 +182,8 @@ struct ExceptionInfo {
   isa::Instruction Instr;
 };
 
+struct KernelImage;
+
 /// Register-file view handed to CEH handlers so the IA32 proxy can read
 /// faulting operands and write emulated results back into the
 /// exo-sequencer (paper: "CEH ensures the result is updated in the
@@ -201,9 +203,9 @@ public:
 struct OrphanShred {
   uint32_t ShredId = 0;
   uint32_t KernelId = 0;
-  std::string KernelName;
-  /// Decoded kernel code (owned by the device; valid for the call).
-  const std::vector<isa::Instruction> *Code = nullptr;
+  /// The registered kernel, code and decoded form (owned by the kernel
+  /// table; valid for the call).
+  const KernelImage *Kernel = nullptr;
   std::vector<int32_t> Params;
   std::shared_ptr<const SurfaceTable> Surfaces;
   mem::VirtAddr RecordVa = 0; ///< authoritative params, when nonzero

@@ -55,7 +55,7 @@ ProxySignalHandler::~ProxySignalHandler() = default;
 Expected<TimeNs> ProxySignalHandler::onShredOrphaned(const OrphanShred &O) {
   return Error::make(formatString(
       "shred %u (kernel '%s'): no IA32 re-dispatch lane installed",
-      O.ShredId, O.KernelName.c_str()));
+      O.ShredId, O.Kernel ? O.Kernel->Name.c_str() : "?"));
 }
 
 const char *gma::backendName(BackendKind K) {
@@ -1242,8 +1242,7 @@ Error GmaDevice::hostRedispatch(ShredDescriptor Desc, uint32_t ShredId,
   OrphanShred O;
   O.ShredId = ShredId;
   O.KernelId = Desc.KernelId;
-  O.KernelName = K->Name;
-  O.Code = &K->Code;
+  O.Kernel = K;
   O.Params = std::move(Desc.Params);
   O.Surfaces = std::move(Desc.Surfaces);
   O.RecordVa = Desc.RecordVa;

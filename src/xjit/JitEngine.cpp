@@ -196,33 +196,43 @@ struct HostPage {
   bool Writable = false;
 };
 
+/// The IA32 host lane's side of a run (see HostLane): where its pages
+/// translate, its divide-by-zero policy, and the proxy counters it feeds.
+struct HostSide {
+  mem::Ia32AddressSpace &AS;
+  gma::DivZeroPolicy DivZero;
+  HostLaneStats &Stats;
+};
+
 /// Per-dispatch state shared by every handler.
 struct Run {
   mem::PhysicalMemory &PM;
-  gma::ProxySignalHandler *Proxy;
-  mem::Tlb &JTlb;
-  const gma::GmaConfig &Cfg;
-  fault::FaultInjector *Inj; ///< non-null only when armed
-  const gma::KernelImage *Kern;
+  gma::ProxySignalHandler *Proxy = nullptr;
+  mem::Tlb *JTlb = nullptr;              ///< null on the host lane
+  const gma::GmaConfig *Cfg = nullptr;   ///< null on the host lane
+  fault::FaultInjector *Inj = nullptr;   ///< non-null only when armed
+  HostSide *Host = nullptr;              ///< non-null only on the host lane
+  const gma::KernelImage *Kern = nullptr;
   uint32_t KernelId = 0;
   uint32_t FirstId = 0;
 
-  std::vector<Shred> Shreds;
-  std::deque<uint32_t> RunQ;
-  gma::GmaRunStats Stats;
+  std::vector<Shred> Shreds{};
+  std::deque<uint32_t> RunQ{};
+  gma::GmaRunStats Stats{};
   TimeNs CehNs = 0;     ///< CEH latency folded into the finish estimate
   uint64_t Started = 0; ///< dispatches that paid the firmware cost
-  std::vector<bool> EuOffline; ///< modeled EU lanes wedged by EuHardFail
-  std::string Err;
+  std::vector<bool> EuOffline{}; ///< modeled EU lanes wedged by EuHardFail
+  std::string Err{};
 
-  /// Direct-mapped VPN -> host-frame-pointer cache in front of the JTlb.
-  /// The page table cannot change mid-run (the engine is sequential; the
-  /// host only remaps between dispatches, and every run starts with a
-  /// cold JTlb), so one successful translation pins the host pointer for
-  /// the rest of the run. This is the fast lane's memory fast path: a
-  /// hit skips the TLB hash lookup, the LRU splice, and the per-page
-  /// PhysicalMemory frame lookup that otherwise dominate the profile.
-  std::array<HostPage, 2048> PageCache;
+  /// Direct-mapped VPN -> host-frame-pointer cache in front of the JTlb
+  /// (on the host lane, the IA32 page walk). Mappings cannot change
+  /// mid-run (the engine is sequential; the host only remaps between
+  /// dispatches, and every run starts with a cold JTlb), so one
+  /// successful translation pins the host pointer for the rest of the
+  /// run. This is the fast lane's memory fast path: a hit skips the TLB
+  /// hash lookup, the LRU splice, and the per-page PhysicalMemory frame
+  /// lookup that otherwise dominate the profile.
+  std::array<HostPage, 2048> PageCache{};
 
   /// Host pointer for \p Bytes at \p Va when the span stays inside one
   /// cached page (with write permission when \p IsWrite); nullptr sends
@@ -247,7 +257,7 @@ struct Run {
   /// The modeled EU lane a shred occupies: shreds map round-robin so a
   /// given injector occurrence wedges a deterministic lane, like the
   /// cycle backend's per-EU hard-fail keying.
-  unsigned euFor(const Shred &S) const { return S.Idx % Cfg.NumEus; }
+  unsigned euFor(const Shred &S) const { return S.Idx % Cfg->NumEus; }
   bool anyOnlineEu() const {
     for (size_t E = 0; E < EuOffline.size(); ++E)
       if (!EuOffline[E])
@@ -261,11 +271,11 @@ struct Run {
   /// exists so deadlines and serving statistics stay meaningful.
   TimeNs estimateNs() const {
     double Div = std::min<double>(
-        static_cast<double>(Cfg.totalContexts()),
+        static_cast<double>(Cfg->totalContexts()),
         static_cast<double>(std::max<size_t>(1, Shreds.size())));
     return Stats.StartNs +
-           (Stats.IssueCycles * Cfg.cycleNs() +
-            static_cast<double>(Started) * Cfg.ShredDispatchNs) /
+           (Stats.IssueCycles * Cfg->cycleNs() +
+            static_cast<double>(Started) * Cfg->ShredDispatchNs) /
                Div +
            Stats.ProxyStallNs + CehNs;
   }
@@ -280,10 +290,67 @@ struct SegList {
   unsigned N = 0;
 };
 
-/// Functional mirror of GmaDevice::accessMemoryAt: per-page TLB lookup,
-/// ATR proxy on miss, write-permission check, and byte counters — minus
-/// the cache/bus timing model. Error strings match the interpreter
-/// verbatim so diagnostics are backend-independent.
+/// Device page lookup: the JTlb, refilled through the ATR proxy on a
+/// miss.
+std::optional<mem::GpuPte> devicePte(Run &R, Shred &S, mem::VirtAddr Cur,
+                                     bool IsWrite, mem::GpuMemType MemType) {
+  uint64_t Vpn = mem::pageNumber(Cur);
+  std::optional<mem::GpuPte> Pte = R.JTlb->lookup(Vpn);
+  if (Pte)
+    return Pte;
+  ++R.Stats.TlbMisses;
+  if (!R.Proxy) {
+    R.Err = "TLB miss with no proxy handler installed";
+    return std::nullopt;
+  }
+  ++R.Stats.ProxyCalls;
+  auto Latency = R.Proxy->onTranslationMiss(Cur, IsWrite, MemType, *R.JTlb);
+  if (!Latency) {
+    R.Err = formatString("shred %u: unserviceable fault at 0x%llx: %s", S.Id,
+                         static_cast<unsigned long long>(Cur),
+                         Latency.message().c_str());
+    return std::nullopt;
+  }
+  R.Stats.ProxyStallNs += *Latency;
+  Pte = R.JTlb->lookup(Vpn);
+  if (!Pte)
+    R.Err = "proxy handler did not install a TLB entry";
+  return Pte;
+}
+
+/// Host-lane page lookup: the IA32 sequencer walks its own page tables
+/// and services a demand-page fault in place (translate, handleFault,
+/// translate). Only a write walk grants write permission, so the first
+/// store to a page walks again and sets its dirty bit.
+std::optional<mem::GpuPte> hostPte(Run &R, Shred &S, mem::VirtAddr Cur,
+                                   bool IsWrite, mem::GpuMemType MemType) {
+  mem::Ia32AddressSpace &AS = R.Host->AS;
+  mem::PageFault F;
+  auto T = AS.translate(Cur, IsWrite, &F);
+  if (!T) {
+    if (!AS.handleFault(F)) {
+      R.Err = formatString("shred %u: unserviceable %s fault at 0x%llx",
+                           S.Id, mem::faultKindName(F.Kind),
+                           static_cast<unsigned long long>(Cur));
+      return std::nullopt;
+    }
+    T = AS.translate(Cur, IsWrite, &F);
+    if (!T) {
+      ++R.Host->Stats.DoubleFaults;
+      R.Err = formatString(
+          "shred %u: %s fault at 0x%llx persists after demand-page service",
+          S.Id, mem::faultKindName(F.Kind),
+          static_cast<unsigned long long>(Cur));
+      return std::nullopt;
+    }
+  }
+  return mem::GpuPte::make(mem::pageNumber(T->Phys), IsWrite, MemType);
+}
+
+/// Functional mirror of GmaDevice::accessMemoryAt: per-page lookup,
+/// write-permission check, and byte counters — minus the cache/bus
+/// timing model. Error strings match the interpreter verbatim so
+/// diagnostics are backend-independent.
 bool translateSpan(Run &R, Shred &S, mem::VirtAddr Va, uint64_t Bytes,
                    bool IsWrite, mem::GpuMemType MemType, SegList &Out) {
   ++R.Stats.MemoryOps;
@@ -292,29 +359,11 @@ bool translateSpan(Run &R, Shred &S, mem::VirtAddr Va, uint64_t Bytes,
   while (Remaining > 0) {
     uint64_t Chunk = std::min(Remaining, mem::PageSize - mem::pageOffset(Cur));
     uint64_t Vpn = mem::pageNumber(Cur);
-    std::optional<mem::GpuPte> Pte = R.JTlb.lookup(Vpn);
-    if (!Pte) {
-      ++R.Stats.TlbMisses;
-      if (!R.Proxy) {
-        R.Err = "TLB miss with no proxy handler installed";
-        return false;
-      }
-      ++R.Stats.ProxyCalls;
-      auto Latency = R.Proxy->onTranslationMiss(Cur, IsWrite, MemType, R.JTlb);
-      if (Latency)
-        R.Stats.ProxyStallNs += *Latency;
-      if (!Latency) {
-        R.Err = formatString("shred %u: unserviceable fault at 0x%llx: %s",
-                             S.Id, static_cast<unsigned long long>(Cur),
-                             Latency.message().c_str());
-        return false;
-      }
-      Pte = R.JTlb.lookup(Vpn);
-      if (!Pte) {
-        R.Err = "proxy handler did not install a TLB entry";
-        return false;
-      }
-    }
+    std::optional<mem::GpuPte> Pte =
+        R.Host ? hostPte(R, S, Cur, IsWrite, MemType)
+               : devicePte(R, S, Cur, IsWrite, MemType);
+    if (!Pte)
+      return false;
     if (IsWrite && !Pte->writable()) {
       R.Err = formatString("shred %u: write to read-only page 0x%llx", S.Id,
                            static_cast<unsigned long long>(Cur));
@@ -357,11 +406,39 @@ bool hardFailFired(Run &R, Shred &S) {
   return true;
 }
 
+/// The host lane's exception sink: the IA32 sequencer is the CEH handler
+/// itself, so emulation runs in place and everything else fails the run.
+Act hostException(Run &R, Shred &S, const FastOp &Op, gma::ExceptionKind K) {
+  Error E;
+  switch (K) {
+  case gma::ExceptionKind::UnsupportedType:
+    E = gma::emulateF64(*Op.I, S);
+    break;
+  case gma::ExceptionKind::DivideByZero:
+    E = gma::emulateDivZero(*Op.I, S, R.Host->DivZero);
+    if (!E)
+      ++R.Host->Stats.DivZeroHandled;
+    break;
+  case gma::ExceptionKind::SurfaceBounds:
+    E = Error::make("accessed outside its surface");
+    break;
+  case gma::ExceptionKind::InvalidSurface:
+    E = Error::make("references an unbound surface slot");
+    break;
+  }
+  if (!E)
+    return Act::Next;
+  R.Err = formatString("shred %u pc %u: %s", S.Id, S.Pc, E.message().c_str());
+  return Act::Fail;
+}
+
 /// CEH, mirroring the Exception arm of GmaDevice::resolveOne: probe for
 /// a wedged EU first, then raise to the proxy, which emulates the
 /// instruction through the shred's register view and returns a latency
 /// (the instruction is then skipped — Act::Next past the faulting pc).
 Act raiseException(Run &R, Shred &S, const FastOp &Op, gma::ExceptionKind K) {
+  if (R.Host)
+    return hostException(R, S, Op, K);
   if (hardFailFired(R, S))
     return Act::Restart;
   if (!R.Proxy) {
@@ -768,6 +845,15 @@ Act sid(Run &, Shred &S, const FastOp &Op) {
 }
 
 Act nop(Run &, Shred &, const FastOp &) { return Act::Next; }
+
+/// xmit/wait/spawn on the host lane: IA32 has no peer sequencer to
+/// signal, so they fail the run — only when executed.
+Act deviceOnly(Run &R, Shred &S, const FastOp &Op) {
+  R.Err = formatString("shred %u pc %u: `%s` is a device-only "
+                       "synchronization op; cannot re-dispatch on IA32",
+                       S.Id, S.Pc, opcodeName(Op.I->Op));
+  return Act::Fail;
+}
 
 Act halt(Run &, Shred &, const FastOp &) { return Act::Halt; }
 
@@ -1381,6 +1467,69 @@ bool blockableOp(const Instruction &I, FastFn Fn) {
   }
 }
 
+/// What a trace is compiled for: a device dispatch with per-access checks
+/// elided (XVerify proved them unnecessary) or kept, or the IA32 host
+/// lane — checked, with the device-only synchronization ops refused.
+enum class TraceMode : uint8_t { Unchecked, Checked, Host };
+
+Trace compileTrace(const gma::KernelImage &K, TraceMode Mode) {
+  assert(K.Decoded && "kernel registered without decoded form");
+  const bool Checked = Mode != TraceMode::Unchecked;
+  Trace T;
+  T.Pin = K.Decoded;
+  T.Ops.reserve(K.Code.size() + 1);
+  for (size_t Pc = 0; Pc < K.Code.size(); ++Pc) {
+    FastOp Op;
+    Op.I = &K.Code[Pc];
+    Op.D = &K.Decoded->Insns[Pc];
+    Op.IssueCycles = Op.D->IssueCycles;
+    Opcode Code = Op.I->Op;
+    if (Mode == TraceMode::Host &&
+        (Code == Opcode::Xmit || Code == Opcode::Wait || Code == Opcode::Spawn))
+      Op.Fn = &deviceOnly;
+    else
+      Op.Fn = selectHandler(*Op.I, Checked);
+    if (FastFn Vec = vecSelect(*Op.I, *Op.D))
+      Op.Fn = Vec; // ALU carries no checks: valid in every trace mode
+    T.Ops.push_back(Op);
+  }
+  FastOp End; // past-the-end retire: uncounted, like the cycle backend
+  End.Fn = &halt;
+  T.Ops.push_back(End);
+  if (Mode == TraceMode::Host)
+    return T; // the host loop single-steps: no fusion, so no XCost run
+  // Fuse straight-line runs: a backward pass gives every op the
+  // length and issue cost of the all-Act::Next suffix it heads.
+  // Branches into the middle of a run stay correct — each member
+  // carries its own (shorter) suffix.
+  //
+  // Gate on XCost's structural verdict (value-independent: every
+  // register unknown at entry): a kernel whose CFG is irreducible or
+  // whose waits cannot be matched to an in-kernel xmit keeps
+  // single-step dispatch, where the park/wake bookkeeping of the
+  // cooperative scheduler is easiest to audit. Finite bounds are NOT
+  // required — the Table 2 kernels all have parameter-dependent trip
+  // counts and must stay fused.
+  xopt::VerifySpec CostSpec;
+  CostSpec.NumScalarParams = isa::NumVRegs;
+  const bool Fusable =
+      xopt::analyzeCost(K.Code, CostSpec, K.Name).structureOk();
+  for (size_t Pc = T.Ops.size(); Pc-- > 0;) {
+    FastOp &Op = T.Ops[Pc];
+    Op.BlockIssue = Op.IssueCycles;
+    if (!Fusable || !Op.I || !blockableOp(*Op.I, Op.Fn))
+      continue;
+    if (Pc + 1 < T.Ops.size()) {
+      const FastOp &Next = T.Ops[Pc + 1];
+      if (Next.I && blockableOp(*Next.I, Next.Fn)) {
+        Op.BlockLen = Next.BlockLen + 1;
+        Op.BlockIssue = Op.IssueCycles + Next.BlockIssue;
+      }
+    }
+  }
+  return T;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -1410,52 +1559,8 @@ struct JitEngine::Impl {
     auto It = Traces.find(Key);
     if (It != Traces.end())
       return It->second;
-    assert(K.Decoded && "kernel registered without decoded form");
-    Trace T;
-    T.Pin = K.Decoded;
-    T.Ops.reserve(K.Code.size() + 1);
-    for (size_t Pc = 0; Pc < K.Code.size(); ++Pc) {
-      FastOp Op;
-      Op.I = &K.Code[Pc];
-      Op.D = &K.Decoded->Insns[Pc];
-      Op.IssueCycles = Op.D->IssueCycles;
-      Op.Fn = selectHandler(*Op.I, Checked);
-      if (FastFn Vec = vecSelect(*Op.I, *Op.D))
-        Op.Fn = Vec; // ALU carries no checks: valid in both trace modes
-      T.Ops.push_back(Op);
-    }
-    FastOp End; // past-the-end retire: uncounted, like the cycle backend
-    End.Fn = &halt;
-    T.Ops.push_back(End);
-    // Fuse straight-line runs: a backward pass gives every op the
-    // length and issue cost of the all-Act::Next suffix it heads.
-    // Branches into the middle of a run stay correct — each member
-    // carries its own (shorter) suffix.
-    //
-    // Gate on XCost's structural verdict (value-independent: every
-    // register unknown at entry): a kernel whose CFG is irreducible or
-    // whose waits cannot be matched to an in-kernel xmit keeps
-    // single-step dispatch, where the park/wake bookkeeping of the
-    // cooperative scheduler is easiest to audit. Finite bounds are NOT
-    // required — the Table 2 kernels all have parameter-dependent trip
-    // counts and must stay fused.
-    xopt::VerifySpec CostSpec;
-    CostSpec.NumScalarParams = isa::NumVRegs;
-    const bool Fusable =
-        xopt::analyzeCost(K.Code, CostSpec, K.Name).structureOk();
-    for (size_t Pc = T.Ops.size(); Pc-- > 0;) {
-      FastOp &Op = T.Ops[Pc];
-      Op.BlockIssue = Op.IssueCycles;
-      if (!Fusable || !Op.I || !blockableOp(*Op.I, Op.Fn))
-        continue;
-      if (Pc + 1 < T.Ops.size()) {
-        const FastOp &Next = T.Ops[Pc + 1];
-        if (Next.I && blockableOp(*Next.I, Next.Fn)) {
-          Op.BlockLen = Next.BlockLen + 1;
-          Op.BlockIssue = Op.IssueCycles + Next.BlockIssue;
-        }
-      }
-    }
+    Trace T = compileTrace(K, Checked ? TraceMode::Checked
+                                      : TraceMode::Unchecked);
     return Traces.emplace(Key, std::move(T)).first->second;
   }
 
@@ -1566,8 +1671,7 @@ bool hostOrphan(Run &R, Shred &S) {
   gma::OrphanShred O;
   O.ShredId = S.Id;
   O.KernelId = R.KernelId;
-  O.KernelName = R.Kern->Name;
-  O.Code = &R.Kern->Code;
+  O.Kernel = R.Kern;
   O.Params = S.Desc.Params;
   O.Surfaces = S.Desc.Surfaces;
   O.RecordVa = S.Desc.RecordVa;
@@ -1592,7 +1696,7 @@ bool hostOrphan(Run &R, Shred &S) {
 bool restartShred(Run &R, Shred &S) {
   S.Desc.FixedShredId = S.Id; // keep the id across re-dispatches
   S.Desc.Redispatches = static_cast<uint8_t>(S.Desc.Redispatches + 1);
-  if (S.Desc.Redispatches > R.Cfg.MaxShredRedispatch || !R.anyOnlineEu())
+  if (S.Desc.Redispatches > R.Cfg->MaxShredRedispatch || !R.anyOnlineEu())
     return hostOrphan(R, S);
   ++R.Stats.ShredsRedispatched;
   S.State = Shred::St::Fresh; // xmits arriving meanwhile go to Mail
@@ -1640,22 +1744,14 @@ Expected<JitRunResult> JitEngine::run(const JitRunRequest &Req) {
   uint32_t FirstId = I->Device.allocShredIds(N);
   fault::FaultInjector *Inj = I->Device.faultInjector();
 
-  Run R{I->PM,
-        I->Proxy,
-        I->JTlb,
-        Cfg,
-        (Inj && Inj->armed()) ? Inj : nullptr,
-        Kern,
-        Req.KernelId,
-        FirstId,
-        {},
-        {},
-        {},
-        0,
-        0,
-        {},
-        {},
-        {}};
+  Run R{.PM = I->PM,
+        .Proxy = I->Proxy,
+        .JTlb = &I->JTlb,
+        .Cfg = &Cfg,
+        .Inj = (Inj && Inj->armed()) ? Inj : nullptr,
+        .Kern = Kern,
+        .KernelId = Req.KernelId,
+        .FirstId = FirstId};
   R.Stats.Backend = gma::BackendKind::Fast;
   R.Stats.StartNs = Req.StartNs;
   R.Stats.FinishNs = Req.StartNs;
@@ -1802,6 +1898,84 @@ Expected<JitRunResult> JitEngine::run(const JitRunRequest &Req) {
   Res.Stats = std::move(R.Stats);
   Res.ElidedChecks = Elide;
   return Res;
+}
+
+//===----------------------------------------------------------------------===//
+// IA32 host lane
+//===----------------------------------------------------------------------===//
+
+struct HostLane::Impl {
+  /// A host trace and the kernel copy its instruction pointers point
+  /// into: the trace outlives the kernel table the orphan came from.
+  struct Entry {
+    gma::KernelImage Kern;
+    Trace T;
+  };
+
+  mem::Ia32AddressSpace &AS;
+  /// Keyed by decoded form, which each entry's kernel copy keeps alive.
+  std::unordered_map<const isa::DecodedKernel *, std::unique_ptr<Entry>>
+      Traces;
+
+  explicit Impl(mem::Ia32AddressSpace &AS) : AS(AS) {}
+
+  const Trace &traceFor(const gma::KernelImage &K) {
+    std::unique_ptr<Entry> &E = Traces[K.Decoded.get()];
+    if (!E) {
+      E = std::make_unique<Entry>();
+      E->Kern = K;
+      E->T = compileTrace(E->Kern, TraceMode::Host);
+    }
+    return E->T;
+  }
+};
+
+HostLane::HostLane(mem::Ia32AddressSpace &AS)
+    : I(std::make_unique<Impl>(AS)) {}
+
+HostLane::~HostLane() = default;
+
+Error HostLane::run(const gma::OrphanShred &O, gma::DivZeroPolicy DivZero,
+                    HostLaneStats &Stats) {
+  if (!O.Kernel)
+    return Error::make(formatString(
+        "host lane: shred %u orphaned without kernel code", O.ShredId));
+  const Trace &T = I->traceFor(*O.Kernel);
+  HostSide Host{I->AS, DivZero, Stats};
+  Run R{.PM = I->AS.physical(), .Host = &Host};
+  Shred S;
+  S.Id = O.ShredId;
+  S.Desc.Params = O.Params;
+  S.Desc.Surfaces = O.Surfaces;
+  S.Desc.RecordVa = O.RecordVa;
+  S.Surf = O.Surfaces.get();
+  if (initShred(R, S) == Act::Fail)
+    return Error::make("host lane: " + R.Err);
+
+  // Far above any legitimate kernel in the modelled workloads: orphans
+  // caught in an infinite loop become a diagnosed error, not a hang.
+  constexpr uint64_t InstrBudget = 4'000'000;
+  uint64_t Instrs = 0;
+  for (;;) {
+    const FastOp &Op = T.Ops[S.Pc];
+    if (Op.D && ++Instrs > InstrBudget) // the trailing halt is uncounted
+      return Error::make(formatString(
+          "host lane: shred %u exceeded the %llu-instruction budget "
+          "(runaway orphan)",
+          O.ShredId, static_cast<unsigned long long>(InstrBudget)));
+    switch (Op.Fn(R, S, Op)) {
+    case Act::Next:
+      ++S.Pc;
+      break;
+    case Act::Jump:
+      break;
+    case Act::Halt:
+      Stats.Instructions += Instrs;
+      return Error::success();
+    default: // Act::Fail: Block and Restart need a device
+      return Error::make("host lane: " + R.Err);
+    }
+  }
 }
 
 } // namespace xjit

@@ -29,12 +29,19 @@
 /// represent at all (spawn) stay on the cycle backend. The backend is
 /// selected per run via chi::Feature::Backend / `exochi-run --backend`.
 ///
+/// The same traces also run the IA32 host lane (HostLane below): an
+/// orphaned shred executes as a one-shred checked trace on the IA32
+/// sequencer, so XGMA semantics have exactly two definitions — the cycle
+/// interpreter (the oracle) and the XJIT handlers.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXOCHI_XJIT_XJIT_H
 #define EXOCHI_XJIT_XJIT_H
 
+#include "gma/Ceh.h"
 #include "gma/GmaDevice.h"
+#include "mem/AddressSpace.h"
 
 #include <memory>
 #include <vector>
@@ -107,6 +114,45 @@ public:
   /// replays its schedule from occurrence zero, exactly as the cycle
   /// backend's run setup does.
   Expected<JitRunResult> run(const JitRunRequest &Req);
+
+private:
+  struct Impl;
+  std::unique_ptr<Impl> I;
+};
+
+/// Proxy counters one host-lane run adds to.
+struct HostLaneStats {
+  /// Instructions executed: halt counted, running off the end not.
+  uint64_t Instructions = 0;
+  /// Integer divides that hit a zero divisor and resumed under WriteZero.
+  uint64_t DivZeroHandled = 0;
+  /// Pages still unmapped after the OS serviced their demand-page fault.
+  uint64_t DoubleFaults = 0;
+};
+
+/// The IA32 host lane, last rung of the FaultLab degradation ladder
+/// (DESIGN.md §11): runs an orphaned shred on the IA32 sequencer as a
+/// one-shred checked XJIT trace. It differs from a device run in two
+/// places only. Pages translate through the IA32 address space
+/// (demand-page faults serviced in place) instead of the device TLB and
+/// ATR. Exceptions are handled in place instead of signalled: df
+/// instructions run under gma::emulateF64, integer divide by zero under
+/// gma::emulateDivZero, and surface errors, `xmit`/`wait`/`spawn` and
+/// runaway shreds (4,000,000 instructions) fail the run. No proxy call,
+/// injector probe or CEH latency is involved. Owns one host trace per
+/// kernel, compiled on first use. Not thread-safe.
+class HostLane {
+public:
+  explicit HostLane(mem::Ia32AddressSpace &AS);
+  ~HostLane();
+
+  HostLane(const HostLane &) = delete;
+  HostLane &operator=(const HostLane &) = delete;
+
+  /// Runs \p O to completion. Counters accumulate into \p Stats, also
+  /// when the run fails; Instructions only when it succeeds.
+  Error run(const gma::OrphanShred &O, gma::DivZeroPolicy DivZero,
+            HostLaneStats &Stats);
 
 private:
   struct Impl;

@@ -1,7 +1,8 @@
-//===- tests/exo_test.cpp - EXO layer tests (ATR, CEH, platform) --------------===//
+//===- tests/exo_test.cpp - EXO layer tests (ATR, CEH, host lane) -------------===//
 
 #include "exo/ExoPlatform.h"
 
+#include "fault/FaultInjector.h"
 #include "xasm/Assembler.h"
 
 #include <gtest/gtest.h>
@@ -371,4 +372,190 @@ TEST(CehTest, ProxyLatencyChargedToShred) {
   };
   double Without = RunOnce(false), With = RunOnce(true);
   EXPECT_GT(With, Without + 1000.0);
+}
+
+//===----------------------------------------------------------------------===//
+// IA32 host lane: orphaned shreds run by the proxy on the IA32 sequencer
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Hands one shred of kernel \p Kid straight to the proxy's host lane, as
+/// the degradation ladder does once no EU can run it.
+Expected<gma::TimeNs>
+runOrphan(ExoPlatform &P, uint32_t Kid, std::vector<int32_t> Params = {},
+          std::shared_ptr<gma::SurfaceTable> Surfaces = nullptr,
+          mem::VirtAddr RecordVa = 0) {
+  gma::OrphanShred O;
+  O.ShredId = 7;
+  O.KernelId = Kid;
+  O.Kernel = P.device().kernel(Kid);
+  O.Params = std::move(Params);
+  O.Surfaces = std::move(Surfaces);
+  O.RecordVa = RecordVa;
+  return P.proxy().onShredOrphaned(O);
+}
+
+} // namespace
+
+TEST(HostLaneTest, CountsInstructionsAndChargesLatency) {
+  ExoPlatform P;
+  SharedBuffer Out = P.allocateShared(4 * 4, "out");
+  xasm::SymbolBindings Binds;
+  Binds.bindScalar("x", 0);
+  Binds.bindSurface("out", 0);
+  uint32_t Kid = loadKernel(P, R"(
+    add.1.dw vr1 = x, 1
+    mov.1.dw vr2 = 0
+    st.1.dw (out, vr2, 0) = vr1
+    halt
+  )",
+                            Binds);
+  auto Lat = runOrphan(P, Kid, {41},
+                       singleSurface(Out.Base, 4, 1, isa::ElemType::I32));
+  ASSERT_TRUE(static_cast<bool>(Lat)) << Lat.message();
+  EXPECT_EQ(P.load<int32_t>(Out.Base), 42);
+
+  // Halt is counted; the cost is the signal plus a per-instruction charge.
+  const ProxyParams Params;
+  EXPECT_DOUBLE_EQ(*Lat, Params.SignalLatencyNs + 4 * Params.OrphanInstrNs);
+  const ProxyStats &PS = P.proxy().stats();
+  EXPECT_EQ(PS.OrphansEmulated, 1u);
+  EXPECT_EQ(PS.OrphanInstructions, 4u);
+  // The IA32 sequencer walks its own page tables: no ATR, no CEH.
+  EXPECT_EQ(PS.AtrRequests, 0u);
+  EXPECT_EQ(PS.PteTranscodes, 0u);
+  EXPECT_EQ(PS.DemandPageFaults, 0u);
+  EXPECT_EQ(PS.ExceptionsEmulated, 0u);
+
+  // Running off the end retires without counting an instruction.
+  uint32_t NoHalt = loadKernel(P, "  mov.1.dw vr1 = 1\n  nop\n", Binds);
+  ASSERT_TRUE(static_cast<bool>(runOrphan(P, NoHalt)));
+  EXPECT_EQ(PS.OrphansEmulated, 2u);
+  EXPECT_EQ(PS.OrphanInstructions, 6u);
+}
+
+TEST(HostLaneTest, ParamsFetchedFromRecordVa) {
+  ExoPlatform P;
+  SharedBuffer Out = P.allocateShared(4 * 4, "out");
+  SharedBuffer Rec = P.allocateShared(2 * 4, "record");
+  P.store<int32_t>(Rec.Base, 1000);
+  P.store<int32_t>(Rec.Base + 4, 234);
+  xasm::SymbolBindings Binds;
+  Binds.bindScalar("a", 0);
+  Binds.bindScalar("b", 1);
+  Binds.bindSurface("out", 0);
+  uint32_t Kid = loadKernel(P, R"(
+    add.1.dw vr2 = a, b
+    mov.1.dw vr3 = 0
+    st.1.dw (out, vr3, 0) = vr2
+    halt
+  )",
+                            Binds);
+  // Params only convey the record length; the values live at RecordVa.
+  auto Lat = runOrphan(P, Kid, {0, 0},
+                       singleSurface(Out.Base, 4, 1, isa::ElemType::I32),
+                       Rec.Base);
+  ASSERT_TRUE(static_cast<bool>(Lat)) << Lat.message();
+  EXPECT_EQ(P.load<int32_t>(Out.Base), 1234);
+}
+
+TEST(HostLaneTest, DeviceOnlySyncOpsDiagnosedWhenExecuted) {
+  ExoPlatform P;
+  xasm::SymbolBindings Binds;
+  const std::pair<const char *, const char *> Ops[] = {
+      {"xmit", "xmit vr1, vr10 = 5"}, {"wait", "wait vr5"},
+      {"spawn", "spawn vr1"}};
+  for (const auto &[Op, Insn] : Ops) {
+    SCOPED_TRACE(Op);
+    std::string Asm =
+        std::string("  mov.1.dw vr1 = 3\n  ") + Insn + "\n  halt\n";
+    auto Lat = runOrphan(P, loadKernel(P, Asm.c_str(), Binds));
+    ASSERT_FALSE(static_cast<bool>(Lat));
+    EXPECT_EQ(Lat.message(), std::string("host lane: shred 7 pc 1: `") + Op +
+                                 "` is a device-only synchronization op; "
+                                 "cannot re-dispatch on IA32");
+  }
+  EXPECT_EQ(P.proxy().stats().OrphansEmulated, 0u);
+
+  // A kernel that contains spawn but never executes it still runs.
+  uint32_t Kid = loadKernel(P, "  halt\n  spawn vr1\n", Binds);
+  auto Lat = runOrphan(P, Kid);
+  ASSERT_TRUE(static_cast<bool>(Lat)) << Lat.message();
+  EXPECT_EQ(P.proxy().stats().OrphanInstructions, 1u);
+}
+
+TEST(HostLaneTest, RunawayShredHitsInstructionBudget) {
+  ExoPlatform P;
+  xasm::SymbolBindings Binds;
+  uint32_t Kid = loadKernel(P, "loop:\n  add.1.dw vr1 = vr1, 1\n  jmp loop\n",
+                            Binds);
+  auto Lat = runOrphan(P, Kid);
+  ASSERT_FALSE(static_cast<bool>(Lat));
+  EXPECT_EQ(Lat.message(), "host lane: shred 7 exceeded the "
+                           "4000000-instruction budget (runaway orphan)");
+  EXPECT_EQ(P.proxy().stats().OrphansEmulated, 0u);
+}
+
+TEST(HostLaneTest, SurfaceErrorsReturnErrors) {
+  ExoPlatform P;
+  SharedBuffer Buf = P.allocateShared(4 * 4, "buf");
+  xasm::SymbolBindings Binds;
+  Binds.bindSurface("a", 0);
+  Binds.bindSurface("b", 1);
+  auto OneSurface = singleSurface(Buf.Base, 4, 1, isa::ElemType::I32);
+
+  uint32_t Oob = loadKernel(P, R"(
+    mov.1.dw vr1 = 4
+    ld.1.dw vr2 = (a, vr1, 0)
+    halt
+  )",
+                            Binds);
+  auto Lat = runOrphan(P, Oob, {}, OneSurface);
+  ASSERT_FALSE(static_cast<bool>(Lat));
+  EXPECT_EQ(Lat.message(),
+            "host lane: shred 7 pc 1: accessed outside its surface");
+
+  uint32_t Unbound = loadKernel(P, R"(
+    mov.1.dw vr1 = 0
+    st.1.dw (b, vr1, 0) = vr1
+    halt
+  )",
+                                Binds);
+  Lat = runOrphan(P, Unbound, {}, OneSurface);
+  ASSERT_FALSE(static_cast<bool>(Lat));
+  EXPECT_EQ(Lat.message(),
+            "host lane: shred 7 pc 1: references an unbound surface slot");
+  EXPECT_EQ(P.proxy().stats().OrphansEmulated, 0u);
+}
+
+// The host lane is the IA32 sequencer itself: a df instruction runs there
+// directly, so no CEH is raised and no CehTimeout occurrence is consumed.
+TEST(HostLaneTest, F64RunsInPlaceWithoutCeh) {
+  ExoPlatform P;
+  fault::FaultInjector Inj(/*Seed=*/1);
+  Inj.setRate(fault::FaultKind::CehTimeout, 1.0);
+  P.armFaultInjection(&Inj);
+  SharedBuffer Buf = P.allocateShared(4 * 8, "f64");
+  P.store<double>(Buf.Base, 1.25);
+  P.store<double>(Buf.Base + 8, 2.5);
+  xasm::SymbolBindings Binds;
+  Binds.bindSurface("buf", 0);
+  uint32_t Kid = loadKernel(P, R"(
+    mov.1.dw vr30 = 0
+    ld.2.df [vr0..vr3] = (buf, vr30, 0)
+    add.1.df [vr4..vr5] = [vr0..vr1], [vr2..vr3]
+    mov.1.dw vr31 = 2
+    st.1.df (buf, vr31, 0) = [vr4..vr5]
+    halt
+  )",
+                            Binds);
+  auto Lat = runOrphan(P, Kid, {},
+                       singleSurface(Buf.Base, 4, 1, isa::ElemType::F64));
+  ASSERT_TRUE(static_cast<bool>(Lat)) << Lat.message();
+  EXPECT_DOUBLE_EQ(P.load<double>(Buf.Base + 16), 3.75);
+  EXPECT_TRUE(Inj.fired().empty());
+  EXPECT_EQ(P.proxy().stats().ExceptionsEmulated, 0u);
+  EXPECT_EQ(P.proxy().stats().InjectedFaults, 0u);
+  P.armFaultInjection(nullptr);
 }

@@ -9,9 +9,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "chi/ProgramBuilder.h"
+#include "chi/Runtime.h"
+#include "exo/ExoPlatform.h"
 #include "exo/ProxyExecution.h"
 #include "fault/FaultInjector.h"
 #include "gma/GmaDevice.h"
+#include "kernels/Workloads.h"
 
 #include "mem/AddressSpace.h"
 #include "xasm/Assembler.h"
@@ -389,6 +393,80 @@ TEST(FaultLabTest, FixedSeedReplaysIdentically) {
   EXPECT_FALSE(A.size() == Other.size() &&
                std::equal(A.begin(), A.end(), Other.begin()));
 }
+
+//===----------------------------------------------------------------------===//
+// Host-lane differential: every Table 2 kernel, drained to the IA32 host
+// lane by quarantining every EU of the one cycle device, must match the
+// host reference bit for bit.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The small Table 2 sizes of kernels_test, by kernel index 0..9.
+std::unique_ptr<kernels::MediaWorkload> makeSmallWorkload(int Index) {
+  switch (Index) {
+  case 0:
+    return kernels::createLinearFilter(64, 32);
+  case 1:
+    return kernels::createSepiaTone(64, 32);
+  case 2:
+    return kernels::createFGT(64, 32);
+  case 3:
+    return kernels::createBicubic(64, 32, 3);
+  case 4:
+    return kernels::createKalman(64, 32, 3);
+  case 5:
+    return kernels::createFMD(64, 32, 12);
+  case 6:
+    return kernels::createAlphaBlend(64, 32, 3);
+  case 7:
+    return kernels::createBOB(64, 32, 4);
+  case 8:
+    return kernels::createADVDI(64, 32, 4);
+  default:
+    return kernels::createProcAmp(64, 32, 3);
+  }
+}
+
+const char *const Table2Names[] = {"LinearFilter", "SepiaTone", "FGT",
+                                   "Bicubic",      "Kalman",    "FMD",
+                                   "AlphaBlend",   "BOB",       "ADVDI",
+                                   "ProcAmp"};
+
+/// Host-lane instruction counts per kernel (halt counted, running off the
+/// end not). They drive the host lane's simulated cost and the cluster's
+/// steal decisions, so they are pinned exactly.
+const uint64_t Table2OrphanInstructions[] = {
+    31664, 9088, 9136, 87960, 28824, 41784, 124080, 14368, 26656, 30360};
+
+class HostLaneTable2Test : public ::testing::TestWithParam<int> {};
+
+} // namespace
+
+TEST_P(HostLaneTable2Test, DrainedWorkloadMatchesHostReference) {
+  exo::ExoPlatform Platform;
+  chi::Runtime RT(Platform);
+  std::unique_ptr<kernels::MediaWorkload> WL = makeSmallWorkload(GetParam());
+  chi::ProgramBuilder PB;
+  cantFail(WL->compile(PB));
+  fatbin::FatBinary Binary = PB.take();
+  cantFail(RT.loadBinary(Binary));
+  cantFail(WL->setup(RT));
+  for (unsigned K = 0; K < Platform.config().Gma.NumEus; ++K)
+    Platform.device().setEuQuarantine(K, true);
+
+  Error E = WL->verify(RT);
+  ASSERT_FALSE(static_cast<bool>(E)) << E.message();
+  const exo::ProxyStats &PS = Platform.proxy().stats();
+  EXPECT_GT(PS.OrphansEmulated, 0u);
+  EXPECT_EQ(PS.OrphanInstructions, Table2OrphanInstructions[GetParam()]);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKernels, HostLaneTable2Test,
+                         ::testing::Range(0, 10),
+                         [](const ::testing::TestParamInfo<int> &Info) {
+                           return std::string(Table2Names[Info.param]);
+                         });
 
 //===----------------------------------------------------------------------===//
 // Spec parsing

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace exochi;
 using namespace exochi::gma;
 
@@ -383,66 +385,123 @@ TEST(XjitFaultTest, SurvivesMixedInjectionWithCorrectOutput) {
 
 //===----------------------------------------------------------------------===//
 // CEH on the fast lane: divide-by-zero raises to the proxy, which
-// emulates the instruction and resumes past it — same as the oracle.
+// emulates the instruction and resumes past it — same as the oracle. The
+// IA32 host lane handles the same fault in place and must agree too.
 //===----------------------------------------------------------------------===//
 
 TEST(XjitCehTest, DivideByZeroMatchesCycleBackend) {
-  auto Build = [](EngineRig &R, uint32_t &Kid, mem::VirtAddr &Out,
-                  std::vector<ShredDescriptor> &Shreds) {
+  struct Case {
+    const char *Name;
+    const char *Asm;
+    int32_t Num;                 ///< the `num` scalar parameter
+    std::vector<int32_t> Expect; ///< the 8-element output surface
+  };
+  const Case Cases[] = {
+      // Lane-varying divisor includes a zero: the CEH path must emulate
+      // the whole divide and the survivors' quotients must be exact.
+      {"lane-varying divisor", R"(
+        mov.8.dw [vr10..vr17] = num
+        mov.1.dw vr20 = 0
+        mov.1.dw vr21 = 1
+        mov.1.dw vr22 = 2
+        mov.1.dw vr23 = 3
+        mov.1.dw vr24 = 4
+        mov.1.dw vr25 = 5
+        mov.1.dw vr26 = 6
+        mov.1.dw vr27 = 7
+        div.8.dw [vr30..vr37] = [vr10..vr17], [vr20..vr27]
+        st.8.dw (out, 0, 0) = [vr30..vr37]
+        halt
+      )",
+       5040,
+       {0, 5040, 2520, 1680, 1260, 1008, 840, 720}},
+      // Predicated divide, lanes 1 and 3 masked off, zero divisor in
+      // lane 2: masked lanes keep their old destination values (ISA.md).
+      {"predicated", R"(
+        mov.4.dw [vr30..vr33] = 7
+        mov.4.dw [vr10..vr13] = num
+        mov.1.dw vr20 = 2
+        mov.1.dw vr21 = 4
+        mov.1.dw vr22 = 0
+        mov.1.dw vr23 = 10
+        mov.1.dw vr40 = 0
+        mov.1.dw vr41 = 1
+        mov.1.dw vr42 = 0
+        mov.1.dw vr43 = 1
+        cmp.eq.4.dw p1 = [vr40..vr43], 0
+        (p1) div.4.dw [vr30..vr33] = [vr10..vr13], [vr20..vr23]
+        st.4.dw (out, 0, 0) = [vr30..vr33]
+        halt
+      )",
+       40,
+       {20, 7, 0, 7, 0, 0, 0, 0}},
+      // INT_MIN / -1 beside a zero divisor: the handler divides in 64
+      // bits and wraps to the element type, as the interpreters do.
+      {"INT_MIN / -1", R"(
+        mov.1.dw vr10 = num
+        mov.1.dw vr11 = 5
+        mov.1.dw vr20 = -1
+        mov.1.dw vr21 = 0
+        div.2.dw [vr30..vr31] = [vr10..vr11], [vr20..vr21]
+        st.2.dw (out, 0, 0) = [vr30..vr31]
+        halt
+      )",
+       INT32_MIN,
+       {INT32_MIN, 0, 0, 0, 0, 0, 0, 0}},
+  };
+
+  enum class Lane { Cycle, Fast, Host };
+  auto RunOn = [](const Case &C, Lane L) {
+    EngineRig R;
     // The SEH layer's resumable policy (paper Section 3.3): the handler
     // writes 0 into the offending lanes and execution continues.
     R.Proxy.setDivZeroPolicy(exo::DivZeroPolicy::WriteZero);
-    Out = R.alloc(8 * 4);
+    mem::VirtAddr Out = R.alloc(8 * 4);
     xasm::SymbolBindings Binds;
     Binds.bindScalar("num", 0);
     Binds.bindSurface("out", 0);
-    // Lane-varying divisor includes a zero: the CEH path must emulate
-    // the whole divide and the survivors' quotients must be exact.
-    Kid = R.loadKernel(R"(
-      mov.8.dw [vr10..vr17] = num
-      mov.1.dw vr20 = 0
-      mov.1.dw vr21 = 1
-      mov.1.dw vr22 = 2
-      mov.1.dw vr23 = 3
-      mov.1.dw vr24 = 4
-      mov.1.dw vr25 = 5
-      mov.1.dw vr26 = 6
-      mov.1.dw vr27 = 7
-      div.8.dw [vr30..vr37] = [vr10..vr17], [vr20..vr27]
-      st.8.dw (out, 0, 0) = [vr30..vr37]
-      halt
-    )",
-                      Binds, "divz");
+    uint32_t Kid = R.loadKernel(C.Asm, Binds, "divz");
     auto Surfaces = std::make_shared<SurfaceTable>();
     Surfaces->push_back({Out, 8, 1, isa::ElemType::I32, SurfaceMode::Output,
                          mem::GpuMemType::Cached});
     ShredDescriptor D;
     D.KernelId = Kid;
-    D.Params = {5040};
+    D.Params = {C.Num};
     D.Surfaces = Surfaces;
-    Shreds.push_back(std::move(D));
+    if (L == Lane::Fast) {
+      std::vector<ShredDescriptor> Shreds;
+      Shreds.push_back(std::move(D));
+      auto Res = R.runFast(Kid, std::move(Shreds));
+      EXPECT_TRUE(static_cast<bool>(Res)) << Res.message();
+      if (Res) {
+        EXPECT_GT(Res->Stats.ExceptionsHandled, 0u);
+      }
+    } else {
+      if (L == Lane::Host) // every shred drains to the IA32 host lane
+        for (unsigned K = 0; K < R.Device.config().NumEus; ++K)
+          R.Device.setEuQuarantine(K, true);
+      R.Device.enqueueShred(std::move(D));
+      auto Exit = R.Device.run(0.0);
+      EXPECT_TRUE(static_cast<bool>(Exit)) << Exit.message();
+      if (L == Lane::Host) {
+        EXPECT_EQ(R.Device.stats().HostRedispatches, 1u);
+      } else {
+        EXPECT_GT(R.Device.stats().ExceptionsHandled, 0u);
+      }
+    }
+    EXPECT_EQ(R.Proxy.stats().DivZeroHandled, 1u);
+    std::vector<int32_t> Words(8);
+    R.AS.read(Out, Words.data(), 8 * 4);
+    return Words;
   };
 
-  EngineRig RC;
-  uint32_t KidC;
-  mem::VirtAddr OutC;
-  std::vector<ShredDescriptor> ShredsC;
-  Build(RC, KidC, OutC, ShredsC);
-  for (ShredDescriptor &D : ShredsC)
-    RC.Device.enqueueShred(std::move(D));
-  auto ExitC = RC.Device.run(0.0);
-  ASSERT_TRUE(static_cast<bool>(ExitC)) << ExitC.message();
-  ASSERT_GT(RC.Device.stats().ExceptionsHandled, 0u);
-
-  EngineRig RF;
-  uint32_t KidF;
-  mem::VirtAddr OutF;
-  std::vector<ShredDescriptor> ShredsF;
-  Build(RF, KidF, OutF, ShredsF);
-  auto Res = RF.runFast(KidF, std::move(ShredsF));
-  ASSERT_TRUE(static_cast<bool>(Res)) << Res.message();
-  EXPECT_GT(Res->Stats.ExceptionsHandled, 0u);
-  EXPECT_EQ(readBytes(RF, OutF, 8 * 4), readBytes(RC, OutC, 8 * 4));
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    std::vector<int32_t> Cycle = RunOn(C, Lane::Cycle);
+    EXPECT_EQ(Cycle, C.Expect);
+    EXPECT_EQ(RunOn(C, Lane::Fast), Cycle);
+    EXPECT_EQ(RunOn(C, Lane::Host), Cycle);
+  }
 }
 
 //===----------------------------------------------------------------------===//
