@@ -329,28 +329,41 @@ Expected<RegionHandle> Runtime::dispatch(const RegionSpec &Spec) {
         Platform.allocateShared(RecordBytes, Spec.KernelName + ".shredq");
     RecordBase = Records.Base;
   }
-  std::vector<gma::ShredDescriptor> Descs;
-  Descs.reserve(Spec.NumThreads);
+  // Resolve each scalar param once: a firstprivate value, a private
+  // per-shred function, or neither (0).
+  struct ParamSource {
+    const int32_t *Value = nullptr;
+    const std::function<int32_t(unsigned)> *PerShred = nullptr;
+  };
+  std::vector<ParamSource> Sources(NumParams);
+  for (size_t P = 0; P < NumParams; ++P) {
+    const std::string &Param = LK.Section.ScalarParams[P];
+    if (auto FIt = Spec.Firstprivate.find(Param);
+        FIt != Spec.Firstprivate.end())
+      Sources[P].Value = &FIt->second;
+    else if (auto PIt = Spec.Private.find(Param); PIt != Spec.Private.end())
+      Sources[P].PerShred = &PIt->second;
+  }
+  // Every shred's record, in shred order, written with one Platform.write:
+  // the same pages fault in, in the same order, as record-by-record writes.
+  std::vector<int32_t> Records(static_cast<size_t>(Spec.NumThreads) *
+                               NumParams);
+  std::vector<gma::ShredDescriptor> Descs(Spec.NumThreads);
   for (unsigned T = 0; T < Spec.NumThreads; ++T) {
-    gma::ShredDescriptor D;
+    int32_t *Rec = Records.data() + static_cast<size_t>(T) * NumParams;
+    for (size_t P = 0; P < NumParams; ++P)
+      Rec[P] = Sources[P].Value      ? *Sources[P].Value
+               : Sources[P].PerShred ? (*Sources[P].PerShred)(T)
+                                     : 0;
+    gma::ShredDescriptor &D = Descs[T];
     D.KernelId = LK.DeviceKernelId;
     D.Surfaces = *Surfaces;
-    for (const std::string &Param : LK.Section.ScalarParams) {
-      int32_t V = 0;
-      if (auto FIt = Spec.Firstprivate.find(Param);
-          FIt != Spec.Firstprivate.end())
-        V = FIt->second;
-      else if (auto PIt = Spec.Private.find(Param); PIt != Spec.Private.end())
-        V = PIt->second(T);
-      D.Params.push_back(V);
-    }
-    if (NumParams > 0) {
-      D.RecordVa = RecordBase +
-                   static_cast<uint64_t>(T) * NumParams * 4;
-      Platform.write(D.RecordVa, D.Params.data(), NumParams * 4);
-    }
-    Descs.push_back(std::move(D));
+    D.Params.assign(Rec, Rec + NumParams);
+    if (NumParams > 0)
+      D.RecordVa = RecordBase + static_cast<uint64_t>(T) * NumParams * 4;
   }
+  if (NumParams > 0)
+    Platform.write(RecordBase, Records.data(), RecordBytes);
   TotalShreds += Spec.NumThreads;
 
   // Backend selection (Feature::Backend): XJIT, the host-native fast
@@ -376,7 +389,7 @@ Expected<RegionHandle> Runtime::dispatch(const RegionSpec &Spec) {
     Req.StartNs = DeviceStart;
     Req.DeadlineNs = Spec.DeadlineNs > 0 ? DeviceStart + Spec.DeadlineNs : 0;
     Req.ForceChecked = BackendSel == 2;
-    auto Res = Jit->run(Req);
+    auto Res = Jit->run(std::move(Req));
     if (!Res)
       return Res.takeError();
     Stats.DeadlinePreempted = (Res->Exit == gma::RunExit::DeadlinePreempted);

@@ -28,21 +28,6 @@ const char *isa::elemTypeName(ElemType Ty) {
   exochiUnreachable("bad ElemType");
 }
 
-unsigned isa::elemTypeSize(ElemType Ty) {
-  switch (Ty) {
-  case ElemType::I8:
-    return 1;
-  case ElemType::I16:
-    return 2;
-  case ElemType::I32:
-  case ElemType::F32:
-    return 4;
-  case ElemType::F64:
-    return 8;
-  }
-  exochiUnreachable("bad ElemType");
-}
-
 const char *isa::opcodeName(Opcode Op) {
   switch (Op) {
   case Opcode::Mov:

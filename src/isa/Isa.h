@@ -31,6 +31,8 @@
 #ifndef EXOCHI_ISA_ISA_H
 #define EXOCHI_ISA_ISA_H
 
+#include "support/Error.h"
+
 #include <cstdint>
 #include <string>
 
@@ -60,8 +62,22 @@ enum class ElemType : uint8_t {
 /// Returns the mnemonic suffix for \p Ty ("b", "w", "dw", "f", "df").
 const char *elemTypeName(ElemType Ty);
 
-/// Size in bytes of one element of \p Ty in memory.
-unsigned elemTypeSize(ElemType Ty);
+/// Size in bytes of one element of \p Ty in memory. Inline: every XJIT
+/// memory op computes it.
+constexpr unsigned elemTypeSize(ElemType Ty) {
+  switch (Ty) {
+  case ElemType::I8:
+    return 1;
+  case ElemType::I16:
+    return 2;
+  case ElemType::I32:
+  case ElemType::F32:
+    return 4;
+  case ElemType::F64:
+    return 8;
+  }
+  exochiUnreachable("bad ElemType");
+}
 
 /// Opcodes of the XGMA ISA.
 enum class Opcode : uint8_t {

@@ -174,6 +174,10 @@ std::vector<uint8_t> wire::frame(MsgType T, const std::vector<uint8_t> &Body) {
 void FrameParser::feed(const uint8_t *P, size_t N) {
   if (!Err.empty())
     return; // poisoned streams buffer nothing further
+  if (Head >= CompactBytes) {
+    Buf.erase(Buf.begin(), Buf.begin() + static_cast<ptrdiff_t>(Head));
+    Head = 0;
+  }
   Buf.insert(Buf.end(), P, P + N);
 }
 
@@ -181,16 +185,15 @@ void FrameParser::poison(std::string Why) {
   Err = std::move(Why);
   // A poisoned stream never parses again; drop what was buffered so a
   // hostile peer's bytes are not held for the connection's lifetime.
-  Buf.clear();
+  std::vector<uint8_t>().swap(Buf);
+  Head = 0;
 }
 
 std::optional<Frame> FrameParser::next() {
-  if (!Err.empty() || Buf.size() < HeaderBytes)
+  if (!Err.empty() || buffered() < HeaderBytes)
     return std::nullopt;
 
-  uint8_t Hdr[HeaderBytes];
-  for (size_t K = 0; K < HeaderBytes; ++K)
-    Hdr[K] = Buf[K];
+  const uint8_t *Hdr = Buf.data() + Head;
   if (std::memcmp(Hdr, Magic, 4) != 0) {
     poison(formatString("bad magic 0x%02x%02x%02x%02x (not 'XNET')", Hdr[0],
                         Hdr[1], Hdr[2], Hdr[3]));
@@ -210,14 +213,17 @@ std::optional<Frame> FrameParser::next() {
                         MaxBodyBytes));
     return std::nullopt;
   }
-  if (Buf.size() < HeaderBytes + Len)
+  if (buffered() < HeaderBytes + Len)
     return std::nullopt; // need more bytes
 
-  Buf.erase(Buf.begin(), Buf.begin() + HeaderBytes);
   Frame F;
   F.Type = static_cast<MsgType>(Type);
-  F.Body.assign(Buf.begin(), Buf.begin() + Len);
-  Buf.erase(Buf.begin(), Buf.begin() + Len);
+  F.Body.assign(Hdr + HeaderBytes, Hdr + HeaderBytes + Len);
+  Head += HeaderBytes + Len;
+  if (Head == Buf.size()) { // all consumed: reuse the storage from the top
+    Buf.clear();
+    Head = 0;
+  }
   return F;
 }
 

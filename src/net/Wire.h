@@ -32,7 +32,6 @@
 #include "support/Error.h"
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -190,6 +189,11 @@ std::vector<uint8_t> frame(MsgType T, const std::vector<uint8_t> &Body);
 /// order. The first malformed header (bad magic, unknown version,
 /// oversized body) poisons the parser: error() becomes non-empty and
 /// next() never yields again — the owner must close the connection.
+///
+/// The bytes live in one contiguous buffer read from an offset, so a
+/// frame body leaves with a single memcpy. The consumed prefix is
+/// dropped when the buffer empties, and otherwise by feed() once it
+/// passes CompactBytes: a long stream reuses the same storage.
 class FrameParser {
 public:
   void feed(const uint8_t *P, size_t N);
@@ -202,14 +206,22 @@ public:
   const std::string &error() const { return Err; }
   bool poisoned() const { return !Err.empty(); }
   /// Bytes buffered but not yet consumed (partial frame).
-  size_t buffered() const { return Buf.size(); }
+  size_t buffered() const { return Buf.size() - Head; }
+  /// Bytes the buffer holds: buffered() plus a consumed prefix of less
+  /// than CompactBytes before the last feed().
+  size_t held() const { return Buf.size(); }
+
+  /// Consumed bytes feed() lets sit in front of the unconsumed ones
+  /// before moving those to the front of the buffer.
+  static constexpr size_t CompactBytes = 64u << 10;
 
 private:
   /// Records the failure and discards the buffer (a poisoned stream
   /// never parses again).
   void poison(std::string Why);
 
-  std::deque<uint8_t> Buf;
+  std::vector<uint8_t> Buf;
+  size_t Head = 0; ///< first unconsumed byte of Buf
   std::string Err;
 };
 

@@ -127,9 +127,13 @@ int64_t signExtend(int64_t V, ElemType Ty) {
 struct Shred final : gma::ShredRegView {
   enum class St : uint8_t { Fresh, Ready, Waiting, Done };
 
-  uint32_t Regs[NumVRegs] = {};
-  uint16_t Preds[NumPRegs] = {};
-  bool RegReady[NumVRegs] = {};
+  /// User-provided so a team's vector is not zero-filled on creation:
+  /// initShred zeroes the register file, once, before the shred runs.
+  Shred() {}
+
+  uint32_t Regs[NumVRegs];
+  uint16_t Preds[NumPRegs];
+  bool RegReady[NumVRegs];
   uint32_t Pc = 0;
   uint32_t Id = 0;
   uint32_t Idx = 0; ///< position within the dispatch (run-queue handle)
@@ -188,12 +192,39 @@ struct Shred final : gma::ShredRegView {
   }
 };
 
-/// One slot of the run-local translation cache: a virtual page pinned to
-/// the host pointer of its backing physical frame.
+/// One slot of the translation cache: a virtual page pinned to the host
+/// pointer of its backing physical frame, valid only in the run whose
+/// generation it carries.
 struct HostPage {
   uint64_t Vpn = ~0ull;
   uint8_t *Host = nullptr;
+  uint32_t Gen = 0;
   bool Writable = false;
+};
+
+/// Direct-mapped VPN -> host-frame-pointer cache in front of the JTlb
+/// (on the host lane, the IA32 page walk). Mappings cannot change
+/// mid-run (the engine is sequential; the host only remaps between
+/// dispatches), so one successful translation pins the host pointer for
+/// the rest of the run. This is the fast lane's memory fast path: a hit
+/// skips the TLB hash lookup, the LRU splice, and the per-page
+/// PhysicalMemory frame lookup that otherwise dominate the profile.
+///
+/// Every run starts cold, as its JTlb does: newRun() bumps the
+/// generation, and a slot hits only when it was filled under the current
+/// one. The slots live as long as their engine, so a run does not pay
+/// to clear 48 KB.
+struct PageCache {
+  std::array<HostPage, 2048> Slots{};
+  uint32_t Gen = 0;
+
+  void newRun() {
+    if (++Gen == 0) { // wrapped: slots from 2^32 runs ago would match
+      Slots.fill(HostPage{});
+      Gen = 1;
+    }
+  }
+  HostPage &slot(uint64_t Vpn) { return Slots[Vpn & (Slots.size() - 1)]; }
 };
 
 /// The IA32 host lane's side of a run (see HostLane): where its pages
@@ -207,6 +238,7 @@ struct HostSide {
 /// Per-dispatch state shared by every handler.
 struct Run {
   mem::PhysicalMemory &PM;
+  PageCache &Pages; ///< its owner's; newRun() already called
   gma::ProxySignalHandler *Proxy = nullptr;
   mem::Tlb *JTlb = nullptr;              ///< null on the host lane
   const gma::GmaConfig *Cfg = nullptr;   ///< null on the host lane
@@ -224,16 +256,6 @@ struct Run {
   std::vector<bool> EuOffline{}; ///< modeled EU lanes wedged by EuHardFail
   std::string Err{};
 
-  /// Direct-mapped VPN -> host-frame-pointer cache in front of the JTlb
-  /// (on the host lane, the IA32 page walk). Mappings cannot change
-  /// mid-run (the engine is sequential; the host only remaps between
-  /// dispatches, and every run starts with a cold JTlb), so one
-  /// successful translation pins the host pointer for the rest of the
-  /// run. This is the fast lane's memory fast path: a hit skips the TLB
-  /// hash lookup, the LRU splice, and the per-page PhysicalMemory frame
-  /// lookup that otherwise dominate the profile.
-  std::array<HostPage, 2048> PageCache{};
-
   /// Host pointer for \p Bytes at \p Va when the span stays inside one
   /// cached page (with write permission when \p IsWrite); nullptr sends
   /// the caller down the full translateSpan path. Counts the access the
@@ -243,8 +265,8 @@ struct Run {
     if (Off + Bytes > mem::PageSize)
       return nullptr;
     uint64_t Vpn = mem::pageNumber(Va);
-    HostPage &E = PageCache[Vpn & (PageCache.size() - 1)];
-    if (E.Vpn != Vpn || (IsWrite && !E.Writable))
+    const HostPage &E = Pages.slot(Vpn);
+    if (E.Vpn != Vpn || E.Gen != Pages.Gen || (IsWrite && !E.Writable))
       return nullptr;
     ++Stats.MemoryOps;
     if (IsWrite)
@@ -286,7 +308,14 @@ struct Run {
 /// a fixed segment array suffices — translateSpan fails loudly rather
 /// than overflowing it.
 struct SegList {
-  std::array<std::pair<mem::PhysAddr, uint64_t>, 8> Segs;
+  struct Seg {
+    mem::PhysAddr Phys;
+    uint64_t Bytes;
+  };
+  /// Only the first N are set. Left uninitialised on purpose: every
+  /// memory op constructs a SegList, and zero-filling it costs more than
+  /// a page-cache hit's move.
+  std::array<Seg, 8> Segs;
   unsigned N = 0;
 };
 
@@ -377,8 +406,8 @@ bool translateSpan(Run &R, Shred &S, mem::VirtAddr Va, uint64_t Bytes,
     Out.Segs[Out.N++] = {(Pte->frame() << mem::PageShift) |
                              mem::pageOffset(Cur),
                          Chunk};
-    R.PageCache[Vpn & (R.PageCache.size() - 1)] = {
-        Vpn, R.PM.frameData(Pte->frame()), Pte->writable()};
+    R.Pages.slot(Vpn) = {Vpn, R.PM.frameData(Pte->frame()), R.Pages.Gen,
+                         Pte->writable()};
     Cur += Chunk;
     Remaining -= Chunk;
   }
@@ -389,12 +418,9 @@ bool translateSpan(Run &R, Shred &S, mem::VirtAddr Va, uint64_t Bytes,
   return true;
 }
 
-/// EuHardFail probe at blocking-op sites, mirroring the resolve-phase
-/// probe of GmaDevice::resolveOne. Fires -> the shred's modeled EU lane
-/// goes offline and the shred restarts through the ladder.
-bool hardFailFired(Run &R, Shred &S) {
-  if (!R.Inj ||
-      !R.Inj->shouldInject(fault::FaultKind::EuHardFail, R.euFor(S)))
+/// The armed half of hardFailFired.
+bool injectHardFail(Run &R, Shred &S) {
+  if (!R.Inj->shouldInject(fault::FaultKind::EuHardFail, R.euFor(S)))
     return false;
   ++R.Stats.FaultsInjected;
   unsigned Eu = R.euFor(S);
@@ -404,6 +430,14 @@ bool hardFailFired(Run &R, Shred &S) {
     R.Stats.OfflinedEus.push_back(Eu);
   }
   return true;
+}
+
+/// EuHardFail probe at blocking-op sites, mirroring the resolve-phase
+/// probe of GmaDevice::resolveOne. Fires -> the shred's modeled EU lane
+/// goes offline and the shred restarts through the ladder. Unarmed, it
+/// is one inlined test on every memory op.
+inline bool hardFailFired(Run &R, Shred &S) {
+  return R.Inj && injectHardFail(R, S);
 }
 
 /// The host lane's exception sink: the IA32 sequencer is the CEH handler
@@ -924,6 +958,36 @@ Act wait(Run &, Shred &S, const FastOp &Op) {
   return Act::Block;
 }
 
+/// Copies \p Words 32-bit words. Every case is a memcpy of constant
+/// length, which compiles to a few plain moves; GCC expands the same copy
+/// with a variable length as `rep movsq`, whose startup cost is several
+/// times the move itself (DESIGN.md §14).
+template <size_t Bytes> void copyBytes(void *Dst, const void *Src) {
+  std::memcpy(Dst, Src, Bytes);
+}
+
+void copyWords(void *Dst, const void *Src, unsigned Words) {
+  switch (Words) {
+  case 1: return copyBytes<4>(Dst, Src);
+  case 2: return copyBytes<8>(Dst, Src);
+  case 3: return copyBytes<12>(Dst, Src);
+  case 4: return copyBytes<16>(Dst, Src);
+  case 5: return copyBytes<20>(Dst, Src);
+  case 6: return copyBytes<24>(Dst, Src);
+  case 7: return copyBytes<28>(Dst, Src);
+  case 8: return copyBytes<32>(Dst, Src);
+  case 9: return copyBytes<36>(Dst, Src);
+  case 10: return copyBytes<40>(Dst, Src);
+  case 11: return copyBytes<44>(Dst, Src);
+  case 12: return copyBytes<48>(Dst, Src);
+  case 13: return copyBytes<52>(Dst, Src);
+  case 14: return copyBytes<56>(Dst, Src);
+  case 15: return copyBytes<60>(Dst, Src);
+  case 16: return copyBytes<64>(Dst, Src);
+  }
+  exochiUnreachable("SIMD width out of range");
+}
+
 /// Ld/St/LdBlk/StBlk. Checked instantiations carry the interpreter's
 /// issue-order surface checks; unchecked ones are the XVerify payoff —
 /// the dispatch was proven in-bounds, so the checks are compiled out.
@@ -964,133 +1028,96 @@ Act memOp(Run &R, Shred &S, const FastOp &Op) {
   uint64_t Span = static_cast<uint64_t>(I.Width) * Esz;
 
   // Fast path: the span sits in one already-translated page, so lanes
-  // move directly between registers and host memory. Disabled lanes are
-  // simply not written — no read-modify-write buffer needed. The common
-  // shape — unpredicated, 4-byte elements, stride-1 register range — is
-  // a straight memcpy between the register file and host memory.
-  if (uint8_t *Host = R.hostSpan(Va, Span, IsStore)) {
-    if constexpr (!Pred) {
-      if (Esz == 4 && D.Dst.Stride == 1) {
-        if constexpr (IsStore)
-          std::memcpy(Host, &S.Regs[D.Dst.Reg0], I.Width * 4u);
-        else
-          std::memcpy(&S.Regs[D.Dst.Reg0], Host, I.Width * 4u);
-        return Act::Next;
-      }
+  // move directly between registers and host memory, and disabled lanes
+  // are simply not written. The common shape — unpredicated, 4-byte
+  // elements, stride-1 register range — is one block copy.
+  uint8_t *Mem = R.hostSpan(Va, Span, IsStore);
+  if constexpr (!Pred) {
+    if (Mem && Esz == 4 && D.Dst.Stride == 1) {
+      if constexpr (IsStore)
+        copyWords(Mem, &S.Regs[D.Dst.Reg0], I.Width);
+      else
+        copyWords(&S.Regs[D.Dst.Reg0], Mem, I.Width);
+      return Act::Next;
     }
-    for (unsigned L = 0; L < I.Width; ++L) {
-      if constexpr (Pred)
-        if (!S.laneEnabled(I, L))
-          continue;
-      if constexpr (IsStore) {
-        if (I.Ty == ElemType::F64) {
-          uint64_t Wide =
-              static_cast<uint64_t>(S.Regs[D.Dst.Reg0 + L * D.Dst.Stride]) |
-              (static_cast<uint64_t>(
-                   S.Regs[D.Dst.Reg0 + L * D.Dst.Stride + 1])
-               << 32);
-          std::memcpy(Host + L * Esz, &Wide, 8);
-        } else {
-          uint32_t U = static_cast<uint32_t>(S.readInt(D.Dst, L));
-          std::memcpy(Host + L * Esz, &U, Esz);
-        }
-      } else {
-        if (I.Ty == ElemType::F64) {
-          uint64_t Wide = 0;
-          std::memcpy(&Wide, Host + L * Esz, 8);
-          S.Regs[D.Dst.Reg0 + L * D.Dst.Stride] =
-              static_cast<uint32_t>(Wide);
-          S.Regs[D.Dst.Reg0 + L * D.Dst.Stride + 1] =
-              static_cast<uint32_t>(Wide >> 32);
-        } else if (I.Ty == ElemType::I8) {
-          int8_t B;
-          std::memcpy(&B, Host + L * Esz, 1);
-          S.writeInt(D.Dst, L, B, I.Ty);
-        } else if (I.Ty == ElemType::I16) {
-          int16_t W;
-          std::memcpy(&W, Host + L * Esz, 2);
-          S.writeInt(D.Dst, L, W, I.Ty);
-        } else {
-          int32_t Dw;
-          std::memcpy(&Dw, Host + L * Esz, 4);
-          S.writeInt(D.Dst, L, Dw, I.Ty);
-        }
-      }
-    }
-    return Act::Next;
   }
 
+  // No page-cache hit: translate page by page and run the lane loop
+  // below over a buffer (read-modify-write for a predicated store).
   SegList Segs;
-  if (!translateSpan(R, S, Va, Span, IsStore, Sf.MemType, Segs)) {
-    // Under injection a failed access is survivable (no functional write
-    // happened yet); otherwise fatal — as the Memory arm of resolveOne.
-    return R.Inj ? Act::Restart : Act::Fail;
+  uint8_t Buf[MaxWidth * 8]; // widest access: 16 lanes of F64
+  if (!Mem) {
+    if (!translateSpan(R, S, Va, Span, IsStore, Sf.MemType, Segs)) {
+      // Under injection a failed access is survivable (no functional
+      // write happened yet); otherwise fatal — as the Memory arm of
+      // resolveOne.
+      return R.Inj ? Act::Restart : Act::Fail;
+    }
+    Mem = Buf;
+    bool Fill = !IsStore;
+    if constexpr (IsStore && Pred)
+      for (unsigned L = 0; L < I.Width; ++L)
+        Fill = Fill || !S.laneEnabled(I, L);
+    uint64_t Ofs = 0;
+    for (unsigned K = 0; Fill && K < Segs.N; ++K) {
+      R.PM.read(Segs.Segs[K].Phys, Buf + Ofs, Segs.Segs[K].Bytes);
+      Ofs += Segs.Segs[K].Bytes;
+    }
   }
 
-  uint8_t Buf[MaxWidth * 8]; // widest access: 16 lanes of F64
-  auto ReadSegs = [&] {
-    uint64_t Ofs = 0;
-    for (unsigned K = 0; K < Segs.N; ++K) {
-      R.PM.read(Segs.Segs[K].first, Buf + Ofs, Segs.Segs[K].second);
-      Ofs += Segs.Segs[K].second;
+  const DecodedOperand Dst = D.Dst;
+  for (unsigned L = 0; L < I.Width; ++L) {
+    if constexpr (Pred)
+      if (!S.laneEnabled(I, L))
+        continue;
+    uint8_t *P = Mem + L * Esz;
+    uint32_t *Reg = &S.Regs[Dst.Reg0 + L * Dst.Stride];
+    if constexpr (IsStore) {
+      // Narrow types store the low bytes (two's complement truncation);
+      // an F64 lane is its register pair, low word first.
+      switch (I.Ty) {
+      case ElemType::I8:
+        copyBytes<1>(P, Reg);
+        break;
+      case ElemType::I16:
+        copyBytes<2>(P, Reg);
+        break;
+      case ElemType::F64:
+        copyBytes<8>(P, Reg);
+        break;
+      default:
+        copyBytes<4>(P, Reg);
+        break;
+      }
+    } else {
+      switch (I.Ty) {
+      case ElemType::I8: {
+        int8_t B;
+        copyBytes<1>(&B, P);
+        *Reg = static_cast<uint32_t>(static_cast<int32_t>(B));
+        break;
+      }
+      case ElemType::I16: {
+        int16_t W;
+        copyBytes<2>(&W, P);
+        *Reg = static_cast<uint32_t>(static_cast<int32_t>(W));
+        break;
+      }
+      case ElemType::F64:
+        copyBytes<8>(Reg, P);
+        break;
+      default:
+        copyBytes<4>(Reg, P);
+        break;
+      }
     }
-  };
+  }
 
-  if constexpr (IsStore) {
-    bool AnyMasked = false;
-    for (unsigned L = 0; L < I.Width; ++L)
-      if (!S.laneEnabled(I, L))
-        AnyMasked = true;
-    if (AnyMasked)
-      ReadSegs(); // read-modify-write under predication
-    for (unsigned L = 0; L < I.Width; ++L) {
-      if (!S.laneEnabled(I, L))
-        continue;
-      if (I.Ty == ElemType::F64) {
-        uint64_t Wide =
-            static_cast<uint64_t>(S.Regs[D.Dst.Reg0 + L * D.Dst.Stride]) |
-            (static_cast<uint64_t>(S.Regs[D.Dst.Reg0 + L * D.Dst.Stride + 1])
-             << 32);
-        std::memcpy(Buf + L * Esz, &Wide, 8);
-      } else {
-        // Store the low Esz bytes (two's complement truncation).
-        uint32_t U = static_cast<uint32_t>(S.readInt(D.Dst, L));
-        std::memcpy(Buf + L * Esz, &U, Esz);
-      }
-    }
+  if (IsStore && Mem == Buf) {
     uint64_t Ofs = 0;
     for (unsigned K = 0; K < Segs.N; ++K) {
-      R.PM.write(Segs.Segs[K].first, Buf + Ofs, Segs.Segs[K].second);
-      Ofs += Segs.Segs[K].second;
-    }
-  } else {
-    ReadSegs();
-    for (unsigned L = 0; L < I.Width; ++L) {
-      if (!S.laneEnabled(I, L))
-        continue;
-      if (I.Ty == ElemType::F64) {
-        uint64_t Wide = 0;
-        std::memcpy(&Wide, Buf + L * Esz, 8);
-        S.Regs[D.Dst.Reg0 + L * D.Dst.Stride] = static_cast<uint32_t>(Wide);
-        S.Regs[D.Dst.Reg0 + L * D.Dst.Stride + 1] =
-            static_cast<uint32_t>(Wide >> 32);
-      } else {
-        int64_t V = 0;
-        if (I.Ty == ElemType::I8) {
-          int8_t B;
-          std::memcpy(&B, Buf + L * Esz, 1);
-          V = B;
-        } else if (I.Ty == ElemType::I16) {
-          int16_t W;
-          std::memcpy(&W, Buf + L * Esz, 2);
-          V = W;
-        } else {
-          int32_t Dw;
-          std::memcpy(&Dw, Buf + L * Esz, 4);
-          V = Dw;
-        }
-        S.writeInt(D.Dst, L, V, I.Ty);
-      }
+      R.PM.write(Segs.Segs[K].Phys, Buf + Ofs, Segs.Segs[K].Bytes);
+      Ofs += Segs.Segs[K].Bytes;
     }
   }
   return Act::Next;
@@ -1141,8 +1168,8 @@ template <bool Checked> Act sampleOp(Run &R, Shred &S, const FastOp &Op) {
     uint8_t Tmp[8] = {};
     uint64_t Ofs = 0;
     for (unsigned K = 0; K < Segs.N; ++K) {
-      R.PM.read(Segs.Segs[K].first, Tmp + Ofs, Segs.Segs[K].second);
-      Ofs += Segs.Segs[K].second;
+      R.PM.read(Segs.Segs[K].Phys, Tmp + Ofs, Segs.Segs[K].Bytes);
+      Ofs += Segs.Segs[K].Bytes;
     }
     std::memcpy(&Texels[Row * 2 + 0], Tmp, 4);
     std::memcpy(&Texels[Row * 2 + 1], Span == 8 ? Tmp + 4 : Tmp, 4);
@@ -1544,6 +1571,7 @@ struct JitEngine::Impl {
   /// EU TLB capacity. Filled by the same proxy, so ATR behaviour (and
   /// the ExoProxyHandler's fault schedule) is shared across backends.
   mem::Tlb JTlb;
+  PageCache Pages;
   std::unordered_map<uint64_t, Trace> Traces; ///< (kernel << 1 | checked)
   /// Dispatch-shape -> "checks provably unnecessary" XVerify verdicts.
   /// Key: kernel id, param count, per-slot geometry, per-param range.
@@ -1636,14 +1664,16 @@ Act initShred(Run &R, Shred &S) {
       R.Err = "shred descriptor fetch failed: " + R.Err;
       return Act::Fail;
     }
-    std::vector<uint8_t> Buf(Bytes);
-    uint64_t Ofs = 0;
-    for (unsigned K = 0; K < Segs.N; ++K) {
-      R.PM.read(Segs.Segs[K].first, Buf.data() + Ofs, Segs.Segs[K].second);
-      Ofs += Segs.Segs[K].second;
+    // The record's little-endian words land straight in vr0..; words
+    // past the register file are fetched (and counted) but dropped.
+    uint8_t *Dst = reinterpret_cast<uint8_t *>(S.Regs);
+    uint64_t Room = sizeof(S.Regs);
+    for (unsigned K = 0; K < Segs.N && Room > 0; ++K) {
+      uint64_t Chunk = std::min(Room, Segs.Segs[K].Bytes);
+      R.PM.read(Segs.Segs[K].Phys, Dst, Chunk);
+      Dst += Chunk;
+      Room -= Chunk;
     }
-    for (size_t K = 0; K < D.Params.size() && K < NumVRegs; ++K)
-      std::memcpy(&S.Regs[K], Buf.data() + K * 4, 4);
   } else {
     for (size_t K = 0; K < D.Params.size() && K < NumVRegs; ++K)
       S.Regs[K] = static_cast<uint32_t>(D.Params[K]);
@@ -1719,7 +1749,7 @@ bool JitEngine::supports(const std::vector<isa::Instruction> &Code) {
   return true;
 }
 
-Expected<JitRunResult> JitEngine::run(const JitRunRequest &Req) {
+Expected<JitRunResult> JitEngine::run(JitRunRequest Req) {
   const gma::KernelImage *Kern = I->Device.kernel(Req.KernelId);
   if (!Kern)
     return Error::make(
@@ -1738,6 +1768,7 @@ Expected<JitRunResult> JitEngine::run(const JitRunRequest &Req) {
   // ATR — a handful of proxy translations per dispatch, which is noise
   // next to the per-instruction work it saves.
   I->JTlb.invalidateAll();
+  I->Pages.newRun();
 
   const gma::GmaConfig &Cfg = I->Device.config();
   uint32_t N = static_cast<uint32_t>(Req.Shreds.size());
@@ -1745,6 +1776,7 @@ Expected<JitRunResult> JitEngine::run(const JitRunRequest &Req) {
   fault::FaultInjector *Inj = I->Device.faultInjector();
 
   Run R{.PM = I->PM,
+        .Pages = I->Pages,
         .Proxy = I->Proxy,
         .JTlb = &I->JTlb,
         .Cfg = &Cfg,
@@ -1760,7 +1792,7 @@ Expected<JitRunResult> JitEngine::run(const JitRunRequest &Req) {
   for (uint32_t K = 0; K < N; ++K) {
     Shred &S = R.Shreds[K];
     S.Idx = K;
-    S.Desc = Req.Shreds[K];
+    S.Desc = std::move(Req.Shreds[K]);
     S.Id = S.Desc.FixedShredId ? S.Desc.FixedShredId : FirstId + K;
     S.Surf = S.Desc.Surfaces.get();
     R.RunQ.push_back(K);
@@ -1913,6 +1945,7 @@ struct HostLane::Impl {
   };
 
   mem::Ia32AddressSpace &AS;
+  PageCache Pages;
   /// Keyed by decoded form, which each entry's kernel copy keeps alive.
   std::unordered_map<const isa::DecodedKernel *, std::unique_ptr<Entry>>
       Traces;
@@ -1942,7 +1975,8 @@ Error HostLane::run(const gma::OrphanShred &O, gma::DivZeroPolicy DivZero,
         "host lane: shred %u orphaned without kernel code", O.ShredId));
   const Trace &T = I->traceFor(*O.Kernel);
   HostSide Host{I->AS, DivZero, Stats};
-  Run R{.PM = I->AS.physical(), .Host = &Host};
+  I->Pages.newRun();
+  Run R{.PM = I->AS.physical(), .Pages = I->Pages, .Host = &Host};
   Shred S;
   S.Id = O.ShredId;
   S.Desc.Params = O.Params;

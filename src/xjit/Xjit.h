@@ -112,8 +112,9 @@ public:
   /// Runs one dispatch. The caller must have reset device statistics for
   /// the run (Runtime::dispatch does) so the shared FaultLab injector
   /// replays its schedule from occurrence zero, exactly as the cycle
-  /// backend's run setup does.
-  Expected<JitRunResult> run(const JitRunRequest &Req);
+  /// backend's run setup does. Takes the team by value: each shred keeps
+  /// its descriptor (the restart source), moved out of \p Req.
+  Expected<JitRunResult> run(JitRunRequest Req);
 
 private:
   struct Impl;

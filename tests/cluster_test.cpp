@@ -94,9 +94,12 @@ struct ClusterRig {
 
   void verifyResult() {
     std::vector<int32_t> Out = readC();
+    // add.dw wraps mod 2^32; the reference adds unsigned so it wraps
+    // too instead of overflowing a signed int.
     for (unsigned K = 0; K < N; ++K)
-      ASSERT_EQ(Out[K], Platform.load<int32_t>(A.Base + K * 4) +
-                            Platform.load<int32_t>(B.Base + K * 4))
+      ASSERT_EQ(Out[K], static_cast<int32_t>(
+                            Platform.load<uint32_t>(A.Base + K * 4) +
+                            Platform.load<uint32_t>(B.Base + K * 4)))
           << "element " << K;
   }
 

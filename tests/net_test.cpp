@@ -20,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <thread>
 
 using namespace exochi;
@@ -350,6 +352,156 @@ TEST(WireTest, DribbledBytesYieldSameFrames) {
   }
   EXPECT_FALSE(Whole.next().has_value());
   EXPECT_FALSE(ByByte.next().has_value());
+}
+
+//===----------------------------------------------------------------------===//
+// FrameParser buffer: one contiguous buffer read from an offset
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A framed body of \p Bytes bytes, each K-th byte (K + Seed) mod 251.
+std::vector<uint8_t> sizedFrame(size_t Bytes, unsigned Seed) {
+  std::vector<uint8_t> Body(Bytes);
+  for (size_t K = 0; K < Bytes; ++K)
+    Body[K] = static_cast<uint8_t>((K + Seed) % 251);
+  return wire::frame(wire::MsgType::SurfaceData, Body);
+}
+
+/// The body \p Framed carries.
+std::vector<uint8_t> bodyOf(const std::vector<uint8_t> &Framed) {
+  return {Framed.begin() + wire::HeaderBytes, Framed.end()};
+}
+
+} // namespace
+
+TEST(FrameParserTest, OneByteFeedsBufferEveryPartialByte) {
+  std::vector<std::vector<uint8_t>> Frames = {sizedFrame(0, 1),
+                                              sizedFrame(5, 2),
+                                              sizedFrame(300, 3)};
+  wire::FrameParser P;
+  size_t Got = 0, Pending = 0;
+  for (const std::vector<uint8_t> &F : Frames)
+    for (uint8_t B : F) {
+      P.feed(&B, 1);
+      ++Pending;
+      EXPECT_EQ(P.buffered(), Pending);
+      if (auto Out = P.next()) {
+        ASSERT_LT(Got, Frames.size());
+        EXPECT_EQ(Pending, Frames[Got].size());
+        EXPECT_EQ(Out->Body, bodyOf(Frames[Got]));
+        ++Got;
+        Pending = 0;
+        EXPECT_EQ(P.buffered(), 0u);
+        EXPECT_EQ(P.held(), 0u);
+      }
+    }
+  EXPECT_EQ(Got, Frames.size());
+  EXPECT_FALSE(P.poisoned());
+}
+
+TEST(FrameParserTest, ManyFramesInOneFeed) {
+  std::vector<uint8_t> Stream;
+  std::vector<std::vector<uint8_t>> Frames;
+  for (unsigned K = 0; K < 100; ++K) {
+    Frames.push_back(sizedFrame(K * 7, K));
+    Stream.insert(Stream.end(), Frames.back().begin(), Frames.back().end());
+  }
+  wire::FrameParser P;
+  P.feed(Stream);
+  size_t Left = Stream.size();
+  EXPECT_EQ(P.buffered(), Left);
+  for (const std::vector<uint8_t> &F : Frames) {
+    auto Out = P.next();
+    ASSERT_TRUE(Out.has_value());
+    EXPECT_EQ(Out->Body, bodyOf(F));
+    Left -= F.size();
+    EXPECT_EQ(P.buffered(), Left);
+  }
+  EXPECT_FALSE(P.next().has_value());
+  EXPECT_EQ(P.buffered(), 0u);
+}
+
+// A partial frame left behind once more than CompactBytes were consumed
+// moves to the front on the next feed and completes intact.
+TEST(FrameParserTest, PartialFrameSurvivesCompaction) {
+  std::vector<uint8_t> Stream;
+  unsigned Whole = 0;
+  while (Stream.size() <= wire::FrameParser::CompactBytes) {
+    std::vector<uint8_t> F = sizedFrame(1000, Whole++);
+    Stream.insert(Stream.end(), F.begin(), F.end());
+  }
+  std::vector<uint8_t> Last = sizedFrame(5000, 99);
+  const size_t Cut = 1234;
+  Stream.insert(Stream.end(), Last.begin(), Last.begin() + Cut);
+
+  wire::FrameParser P;
+  P.feed(Stream);
+  for (unsigned K = 0; K < Whole; ++K)
+    ASSERT_TRUE(P.next().has_value());
+  EXPECT_FALSE(P.next().has_value());
+  EXPECT_EQ(P.buffered(), Cut);
+  EXPECT_EQ(P.held(), Stream.size()) << "compaction waits for the next feed";
+
+  P.feed(Last.data() + Cut, Last.size() - Cut);
+  EXPECT_EQ(P.buffered(), Last.size());
+  EXPECT_EQ(P.held(), Last.size()) << "the consumed prefix was dropped";
+  auto Out = P.next();
+  ASSERT_TRUE(Out.has_value());
+  EXPECT_EQ(Out->Body, bodyOf(Last));
+  EXPECT_EQ(P.buffered(), 0u);
+}
+
+TEST(FrameParserTest, PoisonDropsBufferAndIgnoresLaterFeeds) {
+  std::vector<uint8_t> Good = sizedFrame(64, 1);
+  std::vector<uint8_t> Stream = Good;
+  const uint8_t Junk[] = {'X', 'N', 'O', 'T', 1, 0, 1, 0, 0, 0, 0, 0, 9, 9};
+  Stream.insert(Stream.end(), std::begin(Junk), std::end(Junk));
+  wire::FrameParser P;
+  P.feed(Stream);
+  auto Out = P.next();
+  ASSERT_TRUE(Out.has_value()) << "frames before the poison still parse";
+  EXPECT_EQ(Out->Body, bodyOf(Good));
+  EXPECT_EQ(P.buffered(), sizeof(Junk));
+  EXPECT_FALSE(P.next().has_value());
+  EXPECT_TRUE(P.poisoned());
+  EXPECT_EQ(P.buffered(), 0u);
+  EXPECT_EQ(P.held(), 0u);
+  P.feed(Good);
+  EXPECT_EQ(P.buffered(), 0u);
+  EXPECT_EQ(P.held(), 0u);
+  EXPECT_FALSE(P.next().has_value());
+}
+
+// 256 frames of 32 KB arrive in 4 KB reads, drained after each read as a
+// connection does: the buffer stays within one frame, one read and the
+// compaction threshold instead of growing with the stream.
+TEST(FrameParserTest, LongStreamOf32KFramesDoesNotGrow) {
+  const size_t Body = 32u << 10, Read = 4096;
+  std::vector<uint8_t> Stream;
+  for (unsigned K = 0; K < 256; ++K) {
+    std::vector<uint8_t> F = sizedFrame(Body, K);
+    Stream.insert(Stream.end(), F.begin(), F.end());
+  }
+  wire::FrameParser P;
+  unsigned Got = 0;
+  size_t MaxBuffered = 0, MaxHeld = 0;
+  for (size_t Off = 0; Off < Stream.size(); Off += Read) {
+    P.feed(Stream.data() + Off, std::min(Read, Stream.size() - Off));
+    MaxBuffered = std::max(MaxBuffered, P.buffered());
+    MaxHeld = std::max(MaxHeld, P.held());
+    while (auto Out = P.next()) {
+      ASSERT_EQ(Out->Body.size(), Body);
+      EXPECT_EQ(Out->Body[Body - 1],
+                static_cast<uint8_t>((Body - 1 + Got) % 251));
+      ++Got;
+    }
+  }
+  EXPECT_EQ(Got, 256u);
+  EXPECT_EQ(P.buffered(), 0u);
+  EXPECT_LE(MaxBuffered, wire::HeaderBytes + Body + Read);
+  EXPECT_LE(MaxHeld, wire::FrameParser::CompactBytes + wire::HeaderBytes +
+                         Body + Read);
 }
 
 //===----------------------------------------------------------------------===//
@@ -762,6 +914,32 @@ TEST(NetFlushTest, TruncateAndDisconnectDeliverBeforeClose) {
   }
 }
 
+/// Polls the server's stats over a second connection until it reports a
+/// backpressure stall: the loop has seen a parked Submit. False after
+/// about 10 s. The stats travel over the wire because netStats() is the
+/// loop thread's, unsynchronised, until shutdown.
+bool awaitBackpressureStall(uint16_t Port) {
+  RawPeer Probe(Port);
+  Probe.send(wire::encode(wire::HelloMsg{wire::Version, "probe", 0, 0}));
+  auto W = Probe.next();
+  if (!W || W->Type != wire::MsgType::Welcome)
+    return false;
+  const std::string Key = "\"backpressure_stalls\": ";
+  for (int K = 0; K < 1000; ++K) {
+    Probe.send(wire::frame(wire::MsgType::StatsReq, {}));
+    auto F = Probe.next();
+    if (!F || F->Type != wire::MsgType::StatsJson)
+      return false;
+    std::string Json = cantFail(wire::decodeStatsJson(F->Body)).Json;
+    size_t At = Json.find(Key);
+    if (At != std::string::npos &&
+        std::strtoull(Json.c_str() + At + Key.size(), nullptr, 10) > 0)
+      return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
 // A connection whose Submit is parked on its quota is never read again
 // until the quota frees, yet the answers it earned before parking are
 // flushed: the loop sends every connection's pending bytes, read or not.
@@ -791,6 +969,9 @@ TEST(NetFlushTest, ParkedSubmitStillFlushesEarlierAnswers) {
     ASSERT_TRUE(D.has_value());
     ASSERT_EQ(D->Type, wire::MsgType::SurfaceData);
     EXPECT_EQ(cantFail(wire::decodeSurfaceData(D->Body)).Data.size(), 256u);
+    // The Fetch answer can leave before Submit 2 is parked: wait for the
+    // park, or the abrupt close below may beat it.
+    EXPECT_TRUE(awaitBackpressureStall(R.Port));
     // Scope exit: abrupt close while parked.
   }
   R.shutdown();

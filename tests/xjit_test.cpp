@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 
 using namespace exochi;
 using namespace exochi::gma;
@@ -72,7 +73,7 @@ struct EngineRig {
     Req.Shreds = std::move(Shreds);
     Req.DeadlineNs = DeadlineNs;
     Req.ForceChecked = ForceChecked;
-    return Jit.run(Req);
+    return Jit.run(std::move(Req));
   }
 
   mem::PhysicalMemory PM;
@@ -177,6 +178,22 @@ TEST(XjitEngineTest, VecAddMatchesCycleBackendBitForBit) {
   EXPECT_EQ(Fast.BytesLoaded, Cycle.BytesLoaded);
   EXPECT_EQ(Fast.BytesStored, Cycle.BytesStored);
   EXPECT_EQ(Fast.IssueCycles, Cycle.IssueCycles);
+}
+
+// Every run starts cold: a second run on the same engine translates
+// every page again, through the JTlb and the proxy, instead of hitting
+// page-cache entries the first run left behind.
+TEST(XjitEngineTest, EveryRunStartsCold) {
+  EngineRig R;
+  VecAdd W = buildVecAdd(R);
+  auto First = R.runFast(W.Kid, W.Shreds);
+  ASSERT_TRUE(static_cast<bool>(First)) << First.message();
+  auto Second = R.runFast(W.Kid, W.Shreds);
+  ASSERT_TRUE(static_cast<bool>(Second)) << Second.message();
+  EXPECT_GT(First->Stats.TlbMisses, 0u);
+  EXPECT_EQ(Second->Stats.TlbMisses, First->Stats.TlbMisses);
+  EXPECT_EQ(Second->Stats.ProxyCalls, First->Stats.ProxyCalls);
+  EXPECT_EQ(Second->Stats.MemoryOps, First->Stats.MemoryOps);
 }
 
 // The XCost envelope contract on the fast lane: the functional
@@ -685,6 +702,187 @@ std::string sizeCaseName(
 
 INSTANTIATE_TEST_SUITE_P(Geometries, XjitSizeSweepTest,
                          ::testing::ValuesIn(sizeSweepCases()), sizeCaseName);
+
+//===----------------------------------------------------------------------===//
+// Memory-op width sweep: every lane width, element type and predication
+// form of ld/st and ldblk/stblk, on both sides of a page boundary.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct MemCase {
+  bool Blk;         ///< ldblk/stblk at (x, y) instead of ld/st at x + y
+  isa::ElemType Ty; ///< I32, F32, I16 or I8
+};
+
+/// One shred per access: an unpredicated load and store of In to Out,
+/// then a load and store predicated on the sign of the loaded lanes,
+/// from In2 into registers preset to 7 and into Out2 (pre-filled, so a
+/// masked lane's bytes must survive), and the predicated load's
+/// registers stored as dwords to Out3.
+std::string memCaseAsm(const MemCase &C, unsigned W) {
+  std::string T = isa::elemTypeName(C.Ty), N = std::to_string(W);
+  std::string A = "[vr8..vr" + std::to_string(8 + W - 1) + "]";
+  std::string B = "[vr40..vr" + std::to_string(40 + W - 1) + "]";
+  std::string Ld = C.Blk ? "ldblk." : "ld.", St = C.Blk ? "stblk." : "st.";
+  return "  " + Ld + N + "." + T + " " + A + " = (In, x, y)\n" +
+         "  cmp.lt." + N + ".dw p1 = " + A + ", 0\n" +
+         "  mov." + N + ".dw " + B + " = 7\n" +
+         "  (p1) " + Ld + N + "." + T + " " + B + " = (In2, x, y)\n" +
+         "  " + St + N + "." + T + " (Out, x, y) = " + A + "\n" +
+         "  (p1) " + St + N + "." + T + " (Out2, x, y) = " + B + "\n" +
+         "  " + St + N + ".dw (Out3, x, y) = " + B + "\n" +
+         "  halt\n";
+}
+
+struct MemRun {
+  GmaRunStats Stats;
+  bool Elided = false;
+  std::vector<uint8_t> Out, Out2, Out3;
+};
+
+enum class MemLane { Cycle, Fast, FastChecked };
+
+/// Runs \p C at width \p W on a fresh rig. Every surface starts 64
+/// bytes into its allocation and spans two pages of elements, as two
+/// rows of one page each for ldblk/stblk. The accesses touch each page
+/// first through a translation and then through the page cache, and
+/// for W > 1 two of them straddle a page boundary.
+MemRun runMemCase(const MemCase &C, unsigned W, MemLane L) {
+  EngineRig R;
+  const unsigned Esz = isa::elemTypeSize(C.Ty);
+  const uint32_t PerPage = mem::PageSize / Esz, Skew = 64 / Esz;
+  const uint32_t Elems = 2 * PerPage;
+  auto Surface = [&](unsigned Size, uint8_t Seed) {
+    mem::VirtAddr Va = R.alloc(Elems * Size + mem::PageSize);
+    std::vector<uint8_t> Bytes(Elems * Size + mem::PageSize);
+    uint32_t X = Seed * 2654435761u + 1;
+    for (uint8_t &B : Bytes) {
+      X = X * 1664525u + 1013904223u;
+      B = Seed == 0 ? 0 : static_cast<uint8_t>(X >> 24);
+    }
+    R.AS.write(Va, Bytes.data(), Bytes.size());
+    return Va + 64;
+  };
+  const mem::VirtAddr In = Surface(Esz, 1), In2 = Surface(Esz, 2),
+                      Out = Surface(Esz, 0), Out2 = Surface(Esz, 3),
+                      Out3 = Surface(4, 0);
+
+  xasm::SymbolBindings Binds;
+  Binds.bindScalar("x", 0);
+  Binds.bindScalar("y", 1);
+  const char *Names[] = {"In", "In2", "Out", "Out2", "Out3"};
+  for (int K = 0; K < 5; ++K)
+    Binds.bindSurface(Names[K], K);
+  uint32_t Kid = R.loadKernel(memCaseAsm(C, W).c_str(), Binds, "memsweep");
+
+  auto Surfaces = std::make_shared<SurfaceTable>();
+  const uint32_t SfW = C.Blk ? PerPage : Elems, SfH = C.Blk ? 2 : 1;
+  for (mem::VirtAddr Va : {In, In2, Out, Out2, Out3})
+    Surfaces->push_back({Va, SfW, SfH, Va == Out3 ? isa::ElemType::I32 : C.Ty,
+                         SurfaceMode::InputOutput, mem::GpuMemType::Cached});
+
+  // Element indices; W + 1 lands on a page already translated, PerPage -
+  // Skew - 1 and Elems - W end past a page boundary.
+  const uint32_t Firsts[] = {0,           W + 1,           PerPage - Skew - 1,
+                             PerPage + 2, PerPage + W + 3, Elems - W};
+  std::vector<ShredDescriptor> Shreds;
+  for (uint32_t E : Firsts) {
+    ShredDescriptor D;
+    D.KernelId = Kid;
+    D.Params = C.Blk ? std::vector<int32_t>{static_cast<int32_t>(E % PerPage),
+                                            static_cast<int32_t>(E / PerPage)}
+                     : std::vector<int32_t>{static_cast<int32_t>(E), 0};
+    D.Surfaces = Surfaces;
+    Shreds.push_back(std::move(D));
+  }
+
+  MemRun Run;
+  if (L == MemLane::Cycle) {
+    R.Device.resetStats();
+    for (ShredDescriptor &D : Shreds)
+      R.Device.enqueueShred(std::move(D));
+    auto Exit = R.Device.run(0.0);
+    EXPECT_TRUE(static_cast<bool>(Exit)) << Exit.message();
+    Run.Stats = R.Device.stats();
+  } else {
+    auto Res = R.runFast(Kid, std::move(Shreds), 0,
+                         /*ForceChecked=*/L == MemLane::FastChecked);
+    EXPECT_TRUE(static_cast<bool>(Res)) << Res.message();
+    if (Res) {
+      Run.Stats = Res->Stats;
+      Run.Elided = Res->ElidedChecks;
+    }
+  }
+  Run.Out = readBytes(R, Out, Elems * Esz);
+  Run.Out2 = readBytes(R, Out2, Elems * Esz);
+  Run.Out3 = readBytes(R, Out3, Elems * 4);
+  return Run;
+}
+
+std::string memCaseLabel(const MemCase &C) {
+  return std::string(C.Blk ? "Blk_" : "Linear_") + isa::elemTypeName(C.Ty);
+}
+
+std::string memCaseName(const ::testing::TestParamInfo<MemCase> &Info) {
+  return memCaseLabel(Info.param);
+}
+
+/// Prints a case by its label, so the discovered test names read
+/// `…/Blk_w # GetParam() = Blk_w` instead of the struct's raw bytes.
+void PrintTo(const MemCase &C, std::ostream *OS) { *OS << memCaseLabel(C); }
+
+} // namespace
+
+class XjitMemWidthTest : public ::testing::TestWithParam<MemCase> {};
+
+// The fast path's block copy and per-lane moves against the cycle
+// oracle: unchecked and checked fast runs give the cycle run's surface
+// bytes and functional counters at every width.
+TEST_P(XjitMemWidthTest, EveryWidthBitIdenticalToCycleOracle) {
+  for (unsigned W = 1; W <= isa::MaxWidth; ++W) {
+    SCOPED_TRACE("width " + std::to_string(W));
+    MemRun Cycle = runMemCase(GetParam(), W, MemLane::Cycle);
+    MemRun Fast = runMemCase(GetParam(), W, MemLane::Fast);
+    MemRun Checked = runMemCase(GetParam(), W, MemLane::FastChecked);
+    EXPECT_TRUE(Fast.Elided) << "the sweep's accesses are all in bounds";
+    EXPECT_FALSE(Checked.Elided);
+    if (W >= 4) { // the sign masks enable some lanes and disable others
+      unsigned Masked = 0, Loaded = 0;
+      for (size_t K = 0; K < Cycle.Out3.size(); K += 4) {
+        uint32_t V;
+        std::memcpy(&V, &Cycle.Out3[K], 4);
+        Masked += V == 7;
+        Loaded += V != 7 && V != 0;
+      }
+      EXPECT_GT(Masked, 0u);
+      EXPECT_GT(Loaded, 0u);
+    }
+    for (const MemRun *F : {&Fast, &Checked}) {
+      EXPECT_EQ(F->Out, Cycle.Out);
+      EXPECT_EQ(F->Out2, Cycle.Out2);
+      EXPECT_EQ(F->Out3, Cycle.Out3);
+      EXPECT_EQ(F->Stats.ShredsExecuted, Cycle.Stats.ShredsExecuted);
+      EXPECT_EQ(F->Stats.Instructions, Cycle.Stats.Instructions);
+      EXPECT_EQ(F->Stats.MemoryOps, Cycle.Stats.MemoryOps);
+      EXPECT_EQ(F->Stats.BytesLoaded, Cycle.Stats.BytesLoaded);
+      EXPECT_EQ(F->Stats.BytesStored, Cycle.Stats.BytesStored);
+      EXPECT_EQ(F->Stats.IssueCycles, Cycle.Stats.IssueCycles);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTypes, XjitMemWidthTest,
+    ::testing::Values(MemCase{false, isa::ElemType::I32},
+                      MemCase{false, isa::ElemType::F32},
+                      MemCase{false, isa::ElemType::I16},
+                      MemCase{false, isa::ElemType::I8},
+                      MemCase{true, isa::ElemType::I32},
+                      MemCase{true, isa::ElemType::F32},
+                      MemCase{true, isa::ElemType::I16},
+                      MemCase{true, isa::ElemType::I8}),
+    memCaseName);
 
 //===----------------------------------------------------------------------===//
 // Backend selection and fallback gating in the runtime.
