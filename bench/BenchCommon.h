@@ -53,23 +53,6 @@ inline double benchScale() {
   return std::max(0.05, std::min(1.0, V));
 }
 
-/// Reads the sim-thread override from the environment: EXOCHI_SIM_THREADS
-/// sets GmaConfig::SimThreads for every bench platform (0 = one per host
-/// core). Returns -1 when unset or non-numeric (keep the default).
-inline int benchSimThreads() {
-  const char *S = std::getenv("EXOCHI_SIM_THREADS");
-  if (!S || !*S)
-    return -1;
-  char *End = nullptr;
-  long V = std::strtol(S, &End, 10);
-  if (End == S || *End != '\0' || V < 0) {
-    std::fprintf(stderr,
-                 "bench: ignoring bad EXOCHI_SIM_THREADS='%s'\n", S);
-    return -1;
-  }
-  return static_cast<int>(V);
-}
-
 /// Tail-latency summary of one sample set (any unit; the caller picks).
 /// A quantile is estimated from the samples beyond it, so P999 is set
 /// only when at least MinTailSamples lie past it (10000 samples in all);
@@ -128,8 +111,6 @@ instantiate(const WorkloadFactory &Make,
             chi::MemoryModel Model = chi::MemoryModel::CCShared) {
   WorkloadInstance W;
   W.Platform = std::make_unique<exo::ExoPlatform>();
-  if (int N = benchSimThreads(); N >= 0)
-    W.Platform->setSimThreads(static_cast<unsigned>(N));
   W.RT = std::make_unique<chi::Runtime>(*W.Platform, Model);
   W.Workload = Make();
   chi::ProgramBuilder PB;

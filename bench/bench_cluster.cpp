@@ -69,9 +69,6 @@ struct Rig {
   }
 
   explicit Rig(unsigned Devices) : Platform(configFor(Devices)), RT(Platform) {
-    int SimThreads = benchSimThreads();
-    if (SimThreads >= 0)
-      Platform.setSimThreads(static_cast<unsigned>(SimThreads));
     chi::ProgramBuilder PB;
     cantFail(PB.addXgmaKernel("vecadd", stripKernelAsm(), {"i"}, {"A", "B", "C"})
                  .takeError());

@@ -6,7 +6,7 @@
 //
 // Measures host wall-clock dispatch throughput (jobs/sec, one job = one
 // full-workload device dispatch) of the XJIT host-native fast lane against
-// the cycle-level interpreter at SimThreads=1, for every Table 2 kernel.
+// the cycle-level interpreter, for every Table 2 kernel.
 // Also runs the fast lane in forced-checked mode (Feature::Backend=2) to
 // isolate the gain from XVerify-proven bounds-check elision.
 //
@@ -35,7 +35,7 @@ namespace {
 
 struct Result {
   std::string Kernel;
-  double CycleSec = 0;       ///< cycle backend, SimThreads=1
+  double CycleSec = 0;       ///< cycle backend
   double FastSec = 0;        ///< XJIT, verified checks elided
   double FastCheckedSec = 0; ///< XJIT, bounds checks forced on
   uint64_t SimInstructions = 0;
@@ -56,7 +56,6 @@ double timedRun(const WorkloadFactory &Make, int64_t Backend,
   double Best = 1e99;
   for (int Trial = 0; Trial < Trials; ++Trial) {
     WorkloadInstance W = instantiate(Make);
-    W.Platform->setSimThreads(1);
     W.RT->setFeature(chi::Feature::Backend, Backend);
     deviceRun(W); // warmup
     auto T0 = std::chrono::steady_clock::now();
@@ -74,8 +73,7 @@ int main() {
   double Scale = benchScale();
   constexpr int Trials = 3;
 
-  std::printf("=== XJIT fast lane vs cycle interpreter "
-              "(scale %.2f, sim-threads 1) ===\n",
+  std::printf("=== XJIT fast lane vs cycle interpreter (scale %.2f) ===\n",
               Scale);
   std::printf("%-14s %10s %10s %10s %10s %9s %8s\n", "kernel", "cycle ms",
               "fast ms", "checked", "jobs/s", "speedup", "elide");
@@ -168,8 +166,7 @@ int main() {
     return 1;
   }
   std::fprintf(F, "{\n  \"bench\": \"jit\",\n  \"scale\": %g,\n"
-                  "  \"sim_threads\": 1,\n  \"trials\": %d,\n"
-                  "  \"results\": [\n",
+                  "  \"trials\": %d,\n  \"results\": [\n",
                Scale, Trials);
   for (size_t K = 0; K < Results.size(); ++K) {
     const Result &R = Results[K];

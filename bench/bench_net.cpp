@@ -55,8 +55,6 @@ struct ServerRig {
 
   explicit ServerRig(unsigned Window, net::NetFault *Fault = nullptr)
       : RT(Platform) {
-    if (int N = benchSimThreads(); N >= 0)
-      Platform.setSimThreads(static_cast<unsigned>(N));
     chi::ProgramBuilder PB;
     cantFail(PB.addXgmaKernel("vecadd", R"(
       shl.1.dw vr1 = i, 3

@@ -32,9 +32,6 @@ namespace {
 
 struct Rig {
   Rig() : RT(Platform) {
-    int SimThreads = benchSimThreads();
-    if (SimThreads >= 0)
-      Platform.setSimThreads(static_cast<unsigned>(SimThreads));
     chi::ProgramBuilder PB;
     cantFail(PB.addXgmaKernel("empty", "  halt\n", {}, {}).takeError());
     cantFail(PB.addXgmaKernel("vecadd", R"(

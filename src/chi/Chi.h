@@ -85,10 +85,6 @@ enum class Feature : uint8_t {
   LocalityScheduling,
   /// Per-shred: free-form application tag readable back (used by tools).
   ShredTag,
-  /// Host worker threads used to simulate the device (0 = one per
-  /// hardware core, 1 = serial). A simulator knob rather than a paper
-  /// API: it changes only wall-clock speed, never simulation results.
-  SimThreads,
   /// Execution backend for XGMA dispatches: 0 = the cycle-level device
   /// model (default), 1 = XJIT, the host-native fast lane (surface
   /// outputs bit-identical; timing statistics are estimates), 2 = XJIT

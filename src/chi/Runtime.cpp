@@ -153,8 +153,6 @@ Error Runtime::modifyDesc(uint32_t Desc, DescAttr Attr, int64_t Value) {
 
 void Runtime::setFeature(Feature F, int64_t Value) {
   GlobalFeatures[F] = Value;
-  if (F == Feature::SimThreads)
-    Platform.setSimThreads(Value < 0 ? 0u : static_cast<unsigned>(Value));
 }
 
 void Runtime::setFeaturePerShred(uint32_t ShredId, Feature F, int64_t Value) {

@@ -61,7 +61,7 @@ struct RegionSpec {
   /// shred dispatch (0 = none). When the device's next event would land
   /// beyond it, the run is preempted at that epoch boundary and the
   /// region completes with RegionStats::DeadlinePreempted set — not an
-  /// error. Deterministic for every SimThreads value.
+  /// error. Deterministic: part of the canonical schedule.
   TimeNs DeadlineNs = 0;
 };
 

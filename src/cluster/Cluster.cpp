@@ -148,7 +148,7 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
   while (remaining() > 0 && !Preempted) {
     // The earliest-ready non-retired lane acts next; ties break toward
     // the lower lane index. Serial and simulated-time-only, so the
-    // schedule is independent of SimThreads.
+    // schedule is deterministic.
     Lane *Next = nullptr;
     for (Lane &L : Lanes) {
       if (L.Retired)

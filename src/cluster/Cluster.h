@@ -17,9 +17,9 @@
 /// victims chosen by a seeded hash among maximal candidates. Because the
 /// loop is serial and every decision depends only on simulated time and
 /// the seed — never on host threading — the shard assignment, the steal
-/// trace, and therefore the surface outputs are bit-identical for every
-/// `SimThreads` value and, for race-free (Shardable) kernels, for every
-/// device count.
+/// trace, and therefore the surface outputs are bit-identical in every
+/// replay and, for race-free (Shardable) kernels, for every device
+/// count.
 ///
 /// Shred identity is preserved across shards via
 /// ShredDescriptor::FixedShredId: shred i of the region keeps id Base+i

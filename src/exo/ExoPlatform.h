@@ -75,13 +75,13 @@ public:
   ExoProxyHandler &proxy() { return Proxy; }
   const PlatformConfig &config() const { return Config; }
 
-  /// Host worker threads used to simulate the device for subsequent runs
-  /// (0 = one per hardware core, 1 = serial). Purely a wall-clock knob:
-  /// simulation results are bit-identical for every value.
-  void setSimThreads(unsigned N) {
-    for (auto &D : Devices)
-      D->setSimThreads(N);
-  }
+  /// Does nothing. The device model once advanced its EUs on host
+  /// worker threads and this set their number; the advance phase is now
+  /// always serial. Kept only because the benchmark sources under
+  /// bench/exobench still call it, and they change only together with
+  /// the benchmark itself; the next such change drops those calls and
+  /// this function.
+  void setSimThreads(unsigned) {}
 
   /// Installs a FaultLab injector at every probe site across the stack
   /// (device refill/resolve phases + proxy ATR/CEH paths). Pass nullptr

@@ -22,7 +22,7 @@ ExoProxyHandler::onTranslationMiss(mem::VirtAddr Va, bool IsWrite,
 
   if (Inj) {
     // FaultLab probes, keyed by faulting page so a given access faults
-    // identically at every SimThreads value. Transient faults are retried
+    // identically in every replay. Transient faults are retried
     // with exponential backoff on the signal latency; only a fault that
     // persists past the retry budget (or an injected hard failure)
     // reaches the device as an error.

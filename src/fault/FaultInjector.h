@@ -13,12 +13,12 @@
 ///
 /// Every decision is a pure function of (seed, fault kind, site key,
 /// occurrence number): no global state, no wall clock, no host-thread
-/// identity. Because every probe site lives in a *serial* phase of the
-/// epoch simulation engine (refill/resolve, or inside a serial proxy
-/// call), the sequence of (kind, key) queries is part of the canonical
-/// deterministic schedule — so the same seed fires the same faults at the
-/// same site-ids for every GmaConfig::SimThreads value (DESIGN.md §11,
-/// "determinism under injection").
+/// identity. Because every probe site lives in the refill or resolve
+/// phase of the epoch simulation engine (or inside a proxy call), the
+/// sequence of (kind, key) queries is part of the canonical deterministic
+/// schedule — so the same seed fires the same faults at the same
+/// site-ids in every replay (DESIGN.md §11, "determinism under
+/// injection").
 ///
 /// Site-ids render as `kind@0xKEY#occurrence`, e.g. `atr-transient@0x42#3`
 /// is the third ATR probe on page 0x42.
@@ -102,12 +102,12 @@ public:
 
   /// One probe: decides whether kind \p K fires at site \p Key, and
   /// advances the (kind, key) occurrence counter. Fired sites are logged
-  /// for cross-SimThreads replay comparison.
+  /// for replay comparison.
   bool shouldInject(FaultKind K, uint64_t Key);
 
   /// Every site that fired since construction / the last reset(), in
-  /// probe order (part of the canonical schedule, so identical for every
-  /// SimThreads value).
+  /// probe order (part of the canonical schedule, so identical in every
+  /// replay with the same seed).
   const std::vector<FaultSite> &fired() const { return Fired; }
 
   /// Called synchronously with every fired site, in probe order (probe

@@ -134,16 +134,10 @@ struct GmaConfig {
   /// commands and loading a thread context (paper Section 3.4).
   TimeNs ShredDispatchNs = 60.0;
 
-  /// Host worker threads used to simulate the device (0 = one per
-  /// hardware core, capped at NumEus; 1 = serial in-line execution).
-  /// Every setting produces bit-identical results: the epoch-based
-  /// engine resolves all shared-resource interactions in a fixed order
-  /// at simulation barriers (see DESIGN.md, "Parallel simulation").
-  unsigned SimThreads = 0;
   /// Epoch length: each simulation round advances every EU to
   /// (earliest pending event + SimHorizonNs) before the shared-resource
   /// barrier. Part of the deterministic schedule, so changing it changes
-  /// arbitration outcomes (identically for every SimThreads value).
+  /// arbitration outcomes (see DESIGN.md, "Epoch schedule").
   TimeNs SimHorizonNs = 400.0;
 
   /// A shred blocked in `wait` longer than this (simulated time) fails
@@ -280,8 +274,8 @@ struct GmaRunStats {
   /// per-EU failure signal.
   std::vector<unsigned> OfflinedEus;
 
-  /// Field-wise equality: the parallel-simulation determinism contract
-  /// promises bit-identical stats for every GmaConfig::SimThreads value.
+  /// Field-wise equality: the determinism contract (DESIGN.md §9)
+  /// promises bit-identical stats for every replay of a run.
   bool operator==(const GmaRunStats &) const = default;
 
   TimeNs elapsedNs() const { return FinishNs - StartNs; }

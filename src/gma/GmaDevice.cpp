@@ -6,31 +6,26 @@
 //
 // Epoch-based simulation engine. Every run proceeds in rounds:
 //
-//   1. refill    (serial)   — dispatch queued shreds into idle contexts,
-//                             in EU-index order.
-//   2. advance   (parallel) — each worker thread advances its partition
-//                             of EUs up to a shared simulated-time
-//                             horizon. Instructions with only EU-local
-//                             effects (ALU, branches, predication)
-//                             execute immediately; every interaction with
-//                             a shared resource (memory/cache/TLB/bus,
-//                             the sampler, xmit/wait, spawn, proxy ATR
-//                             and CEH calls, retirement) is buffered as a
-//                             PendingOp. Ops whose result the context
-//                             needs block it until the barrier.
-//   3. resolve   (serial)   — all buffered ops are drained in
-//                             (issue time, EU index, sequence) order.
-//                             Arbitration for the bus, cache, TLB,
-//                             sampler queue and work queue happens here,
-//                             so its outcome depends only on the issue
-//                             schedule — never on the worker count.
+//   1. refill  — dispatch queued shreds into idle contexts, in EU-index
+//                order.
+//   2. advance — each EU, in index order, advances up to a shared
+//                simulated-time horizon. Instructions with only EU-local
+//                effects (ALU, branches, predication) execute
+//                immediately; every interaction with a shared resource
+//                (memory/cache/TLB/bus, the sampler, xmit/wait, spawn,
+//                proxy ATR and CEH calls, retirement) is buffered as a
+//                PendingOp. Ops whose result the context needs block it
+//                until the barrier.
+//   3. resolve — all buffered ops are drained in (issue time, EU index,
+//                sequence) order. Arbitration for the bus, cache, TLB,
+//                sampler queue and work queue happens here, so its
+//                outcome depends only on the issue schedule.
 //
-// The per-EU advance is itself deterministic (a context's instruction
-// stream depends only on state established at round barriers), so the
-// whole simulation is bit-identical for every SimThreads value; the
-// serial path simply runs step 2 in-line. Step hooks force the serial
-// path, and a hook-requested pause resolves all buffered ops before
-// returning so debuggers observe a consistent machine.
+// A context's instruction stream depends only on state established at
+// round barriers, so the order in which step 2 visits the EUs never
+// shows in the results. A hook-requested pause stops step 2 and resolves
+// all buffered ops before returning so debuggers observe a consistent
+// machine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +38,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <thread>
 
 using namespace exochi;
 using namespace exochi::gma;
@@ -244,9 +238,9 @@ struct GmaDevice::PendingOp {
   std::shared_ptr<const SurfaceTable> SpawnSurfaces;
 };
 
-/// One execution unit with its four thread contexts. Everything here —
-/// including the pending-op buffer and the statistic shards — is owned
-/// exclusively by one worker thread during the advance phase.
+/// One execution unit with its four thread contexts. The advance phase
+/// touches only what is here — including the pending-op buffer and the
+/// statistic shards — plus read-only kernel code and configuration.
 struct GmaDevice::Eu {
   Eu(unsigned Index, unsigned NumThreads)
       : Index(Index), Contexts(NumThreads) {
@@ -385,18 +379,6 @@ bool GmaDevice::euQuarantined(unsigned EuIdx) const {
 }
 
 void GmaDevice::invalidateTlbs() { DeviceTlb.invalidateAll(); }
-
-unsigned GmaDevice::effectiveSimThreads() const {
-  if (Hook_)
-    return 1; // hooks need one well-defined serial pause point
-  unsigned N = Config.SimThreads;
-  if (N == 0) {
-    N = std::thread::hardware_concurrency();
-    if (N == 0)
-      N = 1;
-  }
-  return std::max(1u, std::min(N, Config.NumEus));
-}
 
 std::vector<uint32_t> GmaDevice::residentShreds() const {
   std::vector<uint32_t> Out;
@@ -669,7 +651,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
   uint32_t NextPc = Ctx.Pc + 1;
 
   // Defers a CEH exception for the proxy; the context parks until the
-  // barrier, where the (serial) proxy call decides skip-or-terminate.
+  // barrier, where the proxy call decides skip-or-terminate.
   auto RaiseException = [&](ExceptionKind Kind) {
     PendingOp Op;
     Op.K = PendingOp::Kind::Exception;
@@ -1008,7 +990,7 @@ void GmaDevice::advanceEu(Eu &E, TimeNs Horizon) {
     Context *Ctx = pickReadyContext(E);
     assert(Ctx && "EU advanced to a time with no ready context");
 
-    if (Hook_) { // hooks force the serial path (effectiveSimThreads == 1)
+    if (Hook_) {
       StepAction A = Hook_(Ctx->ShredId, Ctx->KernelId, Ctx->Pc);
       if (A == StepAction::Pause) {
         PauseRequested = true;
@@ -1225,7 +1207,7 @@ Error GmaDevice::resolveSample(Eu &E, Context &Ctx, const PendingOp &Op) {
 }
 
 //===----------------------------------------------------------------------===//
-// FaultLab degradation ladder (serial phases only)
+// FaultLab degradation ladder (refill/resolve phases only)
 //===----------------------------------------------------------------------===//
 
 Error GmaDevice::hostRedispatch(ShredDescriptor Desc, uint32_t ShredId,
@@ -1299,7 +1281,7 @@ Error GmaDevice::resolveOne(const PendingOp &Op) {
   // EuHardFail probe: a blocking shared-resource interaction is where a
   // wedged EU manifests. Keyed by the cluster-wide EU index (device ×
   // NumEus + EU) so a given EU fails at the same (deterministic)
-  // occurrence for every SimThreads value, and distinct devices in a
+  // occurrence in every run with the same seed, and distinct devices in a
   // cluster draw from distinct fault sites. Device 0 keys are unchanged
   // from the single-device scheme.
   if (injectionArmed() &&
@@ -1363,7 +1345,7 @@ Error GmaDevice::resolveOne(const PendingOp &Op) {
     unsigned Deliveries = 1;
     if (injectionArmed()) {
       // MISP signal faults, keyed by (target shred, register) so the same
-      // logical signal is dropped/duplicated at every SimThreads value.
+      // logical signal is dropped/duplicated in every run with the seed.
       uint64_t SigKey = (static_cast<uint64_t>(Op.Target) << 8) | Op.Reg;
       if (Injector->shouldInject(fault::FaultKind::MailboxDrop, SigKey)) {
         ++Stats.FaultsInjected;
@@ -1462,7 +1444,7 @@ Error GmaDevice::resolvePending() {
 
   // The arbitration rule: earlier issue first; EU index, then per-EU
   // issue sequence break ties. This depends only on the simulated
-  // schedule, which is identical for every worker count.
+  // schedule.
   std::sort(Ops.begin(), Ops.end(),
             [](const PendingOp &A, const PendingOp &B) {
               if (A.IssueNs != B.IssueNs)
@@ -1531,12 +1513,6 @@ Expected<RunExit> GmaDevice::run(TimeNs StartNs) {
 Expected<RunExit> GmaDevice::resume() {
   PausedFlag = false;
 
-  unsigned Threads = effectiveSimThreads();
-  if (Threads <= 1)
-    Pool.reset();
-  else if (!Pool || Pool->workers() != Threads - 1)
-    Pool = std::make_unique<support::ThreadPool>(Threads - 1);
-
   // Normally a no-op: every round resolves its own ops, and a pause
   // resolves before returning. Drains stale ops after an error exit.
   if (Error Err = resolvePending()) {
@@ -1545,7 +1521,7 @@ Expected<RunExit> GmaDevice::resume() {
   }
 
   while (true) {
-    // Phase 1 (serial): dispatch queued shreds into idle contexts.
+    // Phase 1: dispatch queued shreds into idle contexts.
     for (auto &E : Eus) {
       while (true) {
         auto Refilled = refillContext(*E);
@@ -1575,12 +1551,12 @@ Expected<RunExit> GmaDevice::resume() {
     }
 
     // ExoServe watchdog: the deadline budget is enforced here, at the
-    // serial epoch boundary where no buffered op is in flight. The next
-    // event time is part of the canonical schedule, so the decision is
-    // identical for every SimThreads value. NextT == infinity (every
-    // resident shred blocked in `wait`) also trips the deadline: an
-    // overrunning deadlocked job becomes a bounded preemption instead of
-    // an error. The all-EUs-failed host-drain fallback below is exempt
+    // epoch boundary where no buffered op is in flight. The next event
+    // time is part of the canonical schedule, so the decision is
+    // deterministic. NextT == infinity (every resident shred blocked in
+    // `wait`) also trips the deadline: an overrunning deadlocked job
+    // becomes a bounded preemption instead of an error. The
+    // all-EUs-failed host-drain fallback below is exempt
     // (anyOnlineEu() false): its functional completion is the last rung
     // of the degradation ladder, not device time.
     if (DeadlineNs > 0 && NextT > DeadlineNs &&
@@ -1649,23 +1625,13 @@ Expected<RunExit> GmaDevice::resume() {
       exochiUnreachable("GMA run loop stuck with no runnable context");
     }
 
-    // Phase 2 (parallel): advance every EU to the horizon. Workers touch
-    // only their own EUs plus read-only kernel code and configuration.
+    // Phase 2: advance every EU to the horizon, in index order.
     TimeNs Horizon = NextT + Config.SimHorizonNs;
     PauseRequested = false;
-    if (Threads <= 1) {
-      for (auto &E : Eus) {
-        advanceEu(*E, Horizon);
-        if (PauseRequested)
-          break;
-      }
-    } else {
-      support::ThreadPool &P = *Pool;
-      unsigned NumEus = static_cast<unsigned>(Eus.size());
-      P.run([this, Horizon, Threads, NumEus](unsigned W) {
-        for (unsigned Idx = W; Idx < NumEus; Idx += Threads)
-          advanceEu(*Eus[Idx], Horizon);
-      });
+    for (auto &E : Eus) {
+      advanceEu(*E, Horizon);
+      if (PauseRequested)
+        break;
     }
 
     // Advance-phase errors surface in EU-index order.
@@ -1678,7 +1644,7 @@ Expected<RunExit> GmaDevice::resume() {
       }
     }
 
-    // Phase 3 (serial): resolve all buffered shared-resource ops.
+    // Phase 3: resolve all buffered shared-resource ops.
     if (Error Err = resolvePending()) {
       mergeStatShards();
       return Err;

@@ -18,18 +18,15 @@
 /// IA32 sequencer through the ProxySignalHandler (the MISP exoskeleton),
 /// which implements ATR and CEH in src/exo.
 ///
-/// The simulation itself runs as epoch-based parallel discrete-event
-/// simulation: each round, host worker threads advance disjoint EU
-/// partitions to a shared time horizon, buffering every shared-resource
+/// The simulation runs in epochs: each round advances every EU, in index
+/// order, to a shared time horizon, buffering every shared-resource
 /// interaction (memory, cache, TLB, sampler, xmit/wait, spawn, proxy
-/// calls), which a single thread then resolves in (issue time, EU index)
-/// order. Because that schedule never depends on the worker count,
-/// results are bit-identical for every GmaConfig::SimThreads setting —
-/// including the serial SimThreads=1 path, which runs the same algorithm
-/// in-line. See DESIGN.md, "Parallel simulation & determinism contract".
+/// calls), and then resolves the buffer in (issue time, EU index,
+/// sequence) order. See DESIGN.md, "Epoch schedule & determinism
+/// contract".
 ///
-/// The host-facing API remains single-threaded: do not call into one
-/// GmaDevice from multiple host threads.
+/// The API is single-threaded: do not call into one GmaDevice from
+/// multiple host threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,11 +39,11 @@
 #include "isa/Decoded.h"
 #include "mem/CacheModel.h"
 #include "mem/PhysicalMemory.h"
-#include "support/ThreadPool.h"
 
 #include <cassert>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 
@@ -65,8 +62,8 @@ enum class StepAction : uint8_t {
 };
 
 /// Debugger hook: called before each instruction issues. Receives the
-/// shred id, kernel id, and pc. Installing a hook forces serial in-line
-/// execution so the pause point is a single well-defined machine state.
+/// shred id, kernel id, and pc. A pause ends the round at that
+/// instruction, so the pause point is a single well-defined machine state.
 using StepHook =
     std::function<StepAction(uint32_t ShredId, uint32_t KernelId, uint32_t Pc)>;
 
@@ -77,8 +74,8 @@ enum class RunExit : uint8_t {
   DeadlinePreempted, ///< the deadline budget expired (ExoServe watchdog)
 };
 
-/// The device model. The simulation is deterministic for every
-/// SimThreads setting; the public API is not itself thread-safe.
+/// The device model. The simulation is deterministic; the API is not
+/// thread-safe.
 class GmaDevice {
 public:
   /// \p SharedKernels shares one device-global kernel table across a
@@ -112,7 +109,7 @@ public:
       T->setGeometry(Config.NumEus, Config.ThreadsPerEu);
   }
 
-  /// Installs the FaultLab injector consulted at the device's serial-phase
+  /// Installs the FaultLab injector consulted at the device's refill/resolve
   /// probe sites (nullptr to remove). A disarmed injector costs ~nothing.
   void setFaultInjector(fault::FaultInjector *Inj) { Injector = Inj; }
 
@@ -123,10 +120,10 @@ public:
   void setWaitTimeoutNs(TimeNs T) { Config.WaitTimeoutNs = T; }
 
   /// ExoServe watchdog: absolute simulated time at which the current run
-  /// is preempted (0 disables). Checked at the serial epoch boundary —
-  /// after refill, before the advance phase — where the machine has no
-  /// in-flight operations, so preemption lands at the same point of the
-  /// canonical schedule for every SimThreads value. A run whose last
+  /// is preempted (0 disables). Checked at the epoch boundary — after
+  /// refill, before the advance phase — where the machine has no
+  /// in-flight operations, so preemption lands at a fixed point of the
+  /// canonical schedule. A run whose last
   /// event completes exactly at the deadline finishes normally; the
   /// first round whose next event would land strictly beyond it returns
   /// RunExit::DeadlinePreempted with resident and queued shreds
@@ -140,14 +137,6 @@ public:
   /// device, applied between runs and lifted only by the caller.
   void setEuQuarantine(unsigned EuIdx, bool On);
   bool euQuarantined(unsigned EuIdx) const;
-
-  /// Overrides GmaConfig::SimThreads: host worker threads for subsequent
-  /// runs (0 = one per hardware core). Any value yields bit-identical
-  /// simulation results; only wall-clock speed changes.
-  void setSimThreads(unsigned N) { Config.SimThreads = N; }
-
-  /// The sim-thread setting currently in effect (0 = auto).
-  unsigned simThreads() const { return Config.SimThreads; }
 
   /// Registers \p Image and returns its kernel id.
   uint32_t registerKernel(KernelImage Image);
@@ -180,7 +169,7 @@ public:
 
   /// True when a debugger step hook specifically is installed. A tracer
   /// merely observes spans (cluster sharding supports it per device); a
-  /// step hook pins execution to one serial in-line device.
+  /// step hook pins execution to a single device.
   bool hasStepHook() const { return static_cast<bool>(Hook_); }
 
   /// This instance's position in its cluster (0 for a single device).
@@ -245,13 +234,13 @@ private:
 
   /// Loads the next queued shred into an idle context of \p E (if any).
   /// Fails only when fetching a shared-memory descriptor record faults
-  /// unserviceably. Serial phase only.
+  /// unserviceably. Refill/resolve phases only.
   Expected<bool> refillContext(Eu &E);
 
   /// Advances \p E until no context is ready at or before \p Horizon, a
   /// context blocks every runnable slot, a hook pauses, or an error is
-  /// recorded. Runs concurrently for distinct EUs: touches only EU-local
-  /// state plus read-only kernel images and configuration.
+  /// recorded. Touches only EU-local state plus read-only kernel images
+  /// and configuration.
   void advanceEu(Eu &E, TimeNs Horizon);
 
   /// Issues one instruction from \p Ctx on \p E (advance phase). Local
@@ -265,7 +254,7 @@ private:
 
   /// Drains every EU's buffered PendingOps in (issue time, EU, sequence)
   /// order, applying shared-resource arbitration, functional data
-  /// movement, proxy calls, and retirement. Serial phase only.
+  /// movement, proxy calls, and retirement. Refill/resolve phases only.
   Error resolvePending();
 
   /// Folds per-EU statistic shards into Stats (in EU-index order) and
@@ -276,10 +265,6 @@ private:
   /// span up to \p Now) and cancels the queue. Serial phase only, with
   /// no buffered PendingOps in flight.
   void preemptAll(TimeNs Now);
-
-  /// Worker threads to use for the next round (accounts for hooks, the
-  /// auto setting, and the EU count).
-  unsigned effectiveSimThreads() const;
 
   /// The resident context executing \p ShredId, or nullptr.
   Context *findResident(uint32_t ShredId);
@@ -292,7 +277,7 @@ private:
   bool anyOnlineEu() const;
 
   /// FaultLab degradation: takes \p E out of rotation and re-dispatches
-  /// every shred resident on it. Serial phase only.
+  /// every shred resident on it. Refill/resolve phases only.
   Error offlineEu(Eu &E);
 
   /// Re-dispatches the shred in \p Ctx after a fault: restart from its
@@ -314,7 +299,7 @@ private:
   /// Translates and times a virtual span through the device TLB starting
   /// at \p Now, raising ATR proxy requests on misses. The caller performs
   /// the functional data movement over the returned physical segments and
-  /// stalls the context until the completion time. Serial phase only.
+  /// stalls the context until the completion time. Refill/resolve phases only.
   Expected<MemAccess> accessMemoryAt(TimeNs Now, Context &Ctx,
                                      mem::VirtAddr Va, uint64_t Bytes,
                                      bool IsWrite, mem::GpuMemType MemType);
@@ -360,15 +345,11 @@ private:
   std::unordered_map<uint32_t, std::vector<std::pair<uint8_t, uint32_t>>>
       Mailbox;
 
-  /// Worker pool for the advance phase (created lazily; sized
-  /// effectiveSimThreads() - 1).
-  std::unique_ptr<support::ThreadPool> Pool;
-
   /// Absolute simulated-time deadline of the current run (0 = none).
   TimeNs DeadlineNs = 0;
 
   bool PausedFlag = false;
-  bool PauseRequested = false; ///< set by a hook during a serial advance
+  bool PauseRequested = false; ///< set by a hook during the advance
 };
 
 } // namespace gma

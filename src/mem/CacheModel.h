@@ -16,7 +16,6 @@
 #ifndef EXOCHI_MEM_CACHEMODEL_H
 #define EXOCHI_MEM_CACHEMODEL_H
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -33,11 +32,10 @@ struct CacheAccessResult {
 /// Tag-only set-associative cache with LRU replacement and write-back,
 /// write-allocate policy.
 ///
-/// Concurrency contract: LRU stamps, dirty counts, and hit/miss counters
-/// make every access a mutation, so the model is NOT thread-safe. The
-/// parallel GMA engine only touches it from the serial resolve phase
-/// (DESIGN.md, "Parallel simulation & determinism contract"); debug
-/// builds carry a canary that aborts on concurrent or reentrant use.
+/// LRU stamps, dirty counts, and hit/miss counters make every access a
+/// mutation, so the order of accesses is part of the result. The GMA
+/// engine makes every access from its resolve phase, in the canonical
+/// order (DESIGN.md, "Epoch schedule & determinism contract").
 class CacheModel {
 public:
   CacheModel(uint64_t SizeBytes, uint64_t LineBytes, unsigned Ways)
@@ -50,11 +48,6 @@ public:
 
   /// Accesses the line containing \p Addr. \p IsWrite marks it dirty.
   CacheAccessResult access(uint64_t Addr, bool IsWrite) {
-#ifndef NDEBUG
-    assert(!InUse.test_and_set(std::memory_order_acquire) &&
-           "concurrent CacheModel access: shared-resource calls must stay "
-           "in the serial resolve phase");
-#endif
     uint64_t Tag = Addr / LineBytes;
     Set &S = Sets[Tag % NumSets];
     CacheAccessResult R;
@@ -69,9 +62,6 @@ public:
         }
         touch(S, W);
         ++NumHits;
-#ifndef NDEBUG
-        InUse.clear(std::memory_order_release);
-#endif
         return R;
       }
     }
@@ -89,9 +79,6 @@ public:
       ++NumDirty;
     L.Tag = Tag;
     touch(S, Victim);
-#ifndef NDEBUG
-    InUse.clear(std::memory_order_release);
-#endif
     return R;
   }
 
@@ -146,9 +133,6 @@ private:
   uint64_t NumDirty = 0;
   uint64_t NumHits = 0;
   uint64_t NumMisses = 0;
-#ifndef NDEBUG
-  std::atomic_flag InUse = ATOMIC_FLAG_INIT; ///< two-phase protocol canary
-#endif
 };
 
 } // namespace mem

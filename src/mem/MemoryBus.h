@@ -18,7 +18,6 @@
 #define EXOCHI_MEM_MEMORYBUS_H
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 
@@ -43,12 +42,10 @@ struct MemoryBusParams {
 /// captures the two effects the paper's figures hinge on (finite shared
 /// bandwidth, nontrivial access latency) without a DRAM page model.
 ///
-/// Concurrency contract: the bus is a shared arbitration point and is NOT
-/// thread-safe. The parallel GMA engine honours this by only calling
-/// request() from its serial resolve phase (see DESIGN.md, "Parallel
-/// simulation & determinism contract"); debug builds carry a canary that
-/// aborts on concurrent or reentrant use so protocol violations fail
-/// loudly instead of corrupting FreeAt ordering.
+/// The bus is a shared arbitration point: the order of requests sets
+/// FreeAt. The GMA engine only calls request() from its resolve phase, in
+/// the canonical order (DESIGN.md, "Epoch schedule & determinism
+/// contract").
 class MemoryBus {
 public:
   explicit MemoryBus(MemoryBusParams P = MemoryBusParams()) : Params(P) {}
@@ -81,19 +78,11 @@ public:
 private:
   TimeNs issue(TimeNs Now, uint64_t Bytes, TimeNs Latency) {
     assert(Bytes > 0 && "zero-byte bus request");
-#ifndef NDEBUG
-    assert(!InUse.test_and_set(std::memory_order_acquire) &&
-           "concurrent MemoryBus access: shared-resource calls must stay "
-           "in the serial resolve phase");
-#endif
     TimeNs Start = std::max(Now, FreeAt);
     TimeNs Xfer = static_cast<double>(Bytes) / Params.BandwidthBytesPerNs;
     FreeAt = Start + Xfer;
     TotalBytes += Bytes;
     BusyNs += Xfer;
-#ifndef NDEBUG
-    InUse.clear(std::memory_order_release);
-#endif
     return Start + Latency + Xfer;
   }
 
@@ -101,9 +90,6 @@ private:
   TimeNs FreeAt = 0;
   uint64_t TotalBytes = 0;
   TimeNs BusyNs = 0;
-#ifndef NDEBUG
-  std::atomic_flag InUse = ATOMIC_FLAG_INIT; ///< two-phase protocol canary
-#endif
 };
 
 } // namespace mem

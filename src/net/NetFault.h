@@ -21,7 +21,7 @@
 /// and streams are per-session. Because each endpoint's frame sequence
 /// per stream is program order — not poll order, wall clock, or thread
 /// identity — the same --net-inject-seed replays the same fault
-/// schedule at any SimThreads or device count; cross-stream interleave
+/// schedule at any device count; cross-stream interleave
 /// only permutes the fired() log, so replay comparisons use
 /// firedSorted().
 ///
@@ -141,7 +141,7 @@ public:
   /// endpoints' interleaving — compare firedSorted() across runs.
   const std::vector<NetFaultSite> &fired() const { return Fired; }
   /// The fired sites sorted by (kind, key, occurrence): identical for
-  /// the same seed at any SimThreads / device count.
+  /// the same seed at any device count.
   std::vector<NetFaultSite> firedSorted() const;
 
   /// Clears occurrence counters, the fired log, and the fire budget's

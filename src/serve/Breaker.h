@@ -17,9 +17,9 @@
 /// Failure signals come from both ends of FaultLab:
 /// GmaRunStats::OfflinedEus (the device actually lost the EU) and
 /// EuHardFail fires observed live through FaultInjector::setObserver.
-/// Both arrive from serial phases in deterministic order, so breaker
-/// state — like everything in ExoServe — replays bit-identically at any
-/// SimThreads.
+/// Both arrive from the refill/resolve phases in deterministic order, so
+/// breaker state — like everything in ExoServe — replays
+/// bit-identically.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -18,8 +18,8 @@
 /// Every admission, preemption, breaker, and drain decision is a pure
 /// function of the submission sequence and the simulated schedule — no
 /// wall clock, no host-thread identity — so a served workload replays
-/// bit-identically for every GmaConfig::SimThreads value (the same
-/// determinism contract as the device itself; DESIGN.md §12).
+/// bit-identically (the same determinism contract as the device itself;
+/// DESIGN.md §12).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -149,7 +149,7 @@ struct ShardRow {
 };
 
 /// Aggregate ExoServe counters. Field-wise comparable: the chaos soak
-/// asserts bit-identical ServeStats per seed across SimThreads values.
+/// asserts bit-identical ServeStats across two runs of each seed.
 struct ServeStats {
   uint64_t Submitted = 0;
   uint64_t Admitted = 0;   ///< entered the queue (may later be shed)

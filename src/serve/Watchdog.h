@@ -8,9 +8,9 @@
 /// The ExoServe watchdog: converts per-job deadline budgets (device
 /// cycles) into the simulated-ns deadline the device enforces at epoch
 /// boundaries (GmaDevice::setDeadlineNs), and classifies finished
-/// dispatches. The enforcement itself lives in the device's serial
-/// phase, so preemption is deterministic at any SimThreads — the
-/// watchdog is pure policy.
+/// dispatches. The enforcement itself lives at the device's epoch
+/// boundary, so preemption is deterministic — the watchdog is pure
+/// policy.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -5,8 +5,7 @@
 // cooperative work stealing (including the IA32 host lane), per-shard
 // serving statistics, shard drain, deadline preemption across shards,
 // and the determinism contract — bit-identical surface outputs for
-// every device count, SimThreads value, steal setting, and steal seed
-// (the 8-seed soak, which doubles as this label's TSan lane).
+// every device count, steal setting, and steal seed (the 8-seed soak).
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,11 +48,9 @@ struct ClusterRig {
     return C;
   }
 
-  ClusterRig(unsigned Devices, unsigned SimThreads = 1, uint64_t Seed = 1,
-             unsigned Shreds = 32)
+  ClusterRig(unsigned Devices, uint64_t Seed = 1, unsigned Shreds = 32)
       : Platform(configFor(Devices)), RT(Platform), Shreds(Shreds),
         N(Shreds * 8) {
-    Platform.setSimThreads(SimThreads);
     chi::ProgramBuilder PB;
     cantFail(PB.addXgmaKernel("vecadd", VecAddAsm, {"i"}, {"A", "B", "C"})
                  .takeError());
@@ -189,7 +186,7 @@ TEST(ClusterTest, HostLaneStealsFromBusyDevices) {
 TEST(ClusterTest, StealSeedVariesScheduleNeverResults) {
   std::vector<int32_t> Baseline;
   for (uint64_t StealSeed : {0ull, 1ull, 99ull}) {
-    ClusterRig R(/*Devices=*/4, /*SimThreads=*/1, /*Seed=*/7);
+    ClusterRig R(/*Devices=*/4, /*Seed=*/7);
     cluster::ClusterConfig CC;
     CC.StealSeed = StealSeed;
     CC.ChunkShreds = 4;
@@ -203,7 +200,7 @@ TEST(ClusterTest, StealSeedVariesScheduleNeverResults) {
           << "surfaces diverged at steal seed " << StealSeed;
     }
     // Same seed twice: the steal trace itself is deterministic.
-    ClusterRig R2(/*Devices=*/4, /*SimThreads=*/1, /*Seed=*/7);
+    ClusterRig R2(/*Devices=*/4, /*Seed=*/7);
     R2.RT.setClusterConfig(CC);
     auto H2 = R2.RT.dispatch(R2.makeRegion());
     ASSERT_TRUE(static_cast<bool>(H2)) << H2.message();
@@ -217,19 +214,16 @@ TEST(ClusterTest, StealSeedVariesScheduleNeverResults) {
 //===----------------------------------------------------------------------===//
 
 TEST(ClusterTest, DeadlinePreemptsFleetWideAndAccountsEveryShred) {
-  for (unsigned SimThreads : {1u, 4u}) {
-    SCOPED_TRACE("SimThreads=" + std::to_string(SimThreads));
-    ClusterRig R(/*Devices=*/2, SimThreads);
-    chi::RegionSpec Spec = R.makeRegion();
-    Spec.DeadlineNs = 1.0; // expires before the first epoch completes
-    auto H = R.RT.dispatch(Spec);
-    ASSERT_TRUE(static_cast<bool>(H)) << H.message();
-    const chi::RegionStats *S = R.RT.regionStats(*H);
-    EXPECT_TRUE(S->DeadlinePreempted);
-    EXPECT_GT(S->Device.ShredsPreempted, 0u);
-    EXPECT_EQ(S->Device.ShredsExecuted + S->Device.ShredsPreempted, R.Shreds)
-        << "every shred either executed or was preempted, exactly once";
-  }
+  ClusterRig R(/*Devices=*/2);
+  chi::RegionSpec Spec = R.makeRegion();
+  Spec.DeadlineNs = 1.0; // expires before the first epoch completes
+  auto H = R.RT.dispatch(Spec);
+  ASSERT_TRUE(static_cast<bool>(H)) << H.message();
+  const chi::RegionStats *S = R.RT.regionStats(*H);
+  EXPECT_TRUE(S->DeadlinePreempted);
+  EXPECT_GT(S->Device.ShredsPreempted, 0u);
+  EXPECT_EQ(S->Device.ShredsExecuted + S->Device.ShredsPreempted, R.Shreds)
+      << "every shred either executed or was preempted, exactly once";
 }
 
 //===----------------------------------------------------------------------===//
@@ -272,8 +266,8 @@ TEST(ClusterTest, ShardDrainRoutesJobsAroundTheDevice) {
 }
 
 //===----------------------------------------------------------------------===//
-// The determinism soak (TSan lane): 8 seeds x devices {1,2,4} x
-// SimThreads {1,4} x steal on/off — bit-identical surface outputs.
+// The determinism soak: 8 seeds x devices {1,2,4} x steal on/off —
+// bit-identical surface outputs.
 //===----------------------------------------------------------------------===//
 
 TEST(ClusterSoakTest, SurfacesBitIdenticalAcrossDevicesThreadsAndStealing) {
@@ -281,24 +275,21 @@ TEST(ClusterSoakTest, SurfacesBitIdenticalAcrossDevicesThreadsAndStealing) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
     std::vector<int32_t> Baseline;
     for (unsigned Devices : {1u, 2u, 4u}) {
-      for (unsigned SimThreads : {1u, 4u}) {
-        for (bool Steal : {true, false}) {
-          ClusterRig R(Devices, SimThreads, Seed);
-          cluster::ClusterConfig CC;
-          CC.Steal = Steal;
-          CC.StealSeed = Seed;
-          R.RT.setClusterConfig(CC);
-          auto H = R.RT.dispatch(R.makeRegion());
-          ASSERT_TRUE(static_cast<bool>(H)) << H.message();
-          ASSERT_EQ(R.RT.regionStats(*H)->Device.ShredsExecuted, R.Shreds);
-          if (Baseline.empty()) {
-            Baseline = R.readC();
-            R.verifyResult();
-          } else {
-            ASSERT_EQ(R.readC(), Baseline)
-                << "devices=" << Devices << " simThreads=" << SimThreads
-                << " steal=" << Steal;
-          }
+      for (bool Steal : {true, false}) {
+        ClusterRig R(Devices, Seed);
+        cluster::ClusterConfig CC;
+        CC.Steal = Steal;
+        CC.StealSeed = Seed;
+        R.RT.setClusterConfig(CC);
+        auto H = R.RT.dispatch(R.makeRegion());
+        ASSERT_TRUE(static_cast<bool>(H)) << H.message();
+        ASSERT_EQ(R.RT.regionStats(*H)->Device.ShredsExecuted, R.Shreds);
+        if (Baseline.empty()) {
+          Baseline = R.readC();
+          R.verifyResult();
+        } else {
+          ASSERT_EQ(R.readC(), Baseline)
+              << "devices=" << Devices << " steal=" << Steal;
         }
       }
     }

@@ -5,8 +5,8 @@
 // serve::Server, zero-budget rejection over the wire, backpressure by
 // unread sockets, request coalescing, malformed-frame survival, the
 // multi-client concurrency soak (the TSan lane for this label), and the
-// 8-seed chaos soak replayed through the socket path bit-identically at
-// SimThreads 1 and 4.
+// 8-seed chaos soak replayed twice through the socket path,
+// bit-identically.
 //
 //===----------------------------------------------------------------------===//
 
@@ -62,9 +62,8 @@ struct NetRig {
   uint16_t Port = 0;
 
   explicit NetRig(NetServerConfig NC = {}, fault::FaultInjector *Inj = nullptr,
-                  unsigned SimThreads = 1, const std::string &UnixPath = "")
+                  const std::string &UnixPath = "")
       : RT(Platform) {
-    Platform.setSimThreads(SimThreads);
     if (Inj)
       Platform.armFaultInjection(Inj);
     chi::ProgramBuilder PB;
@@ -531,7 +530,7 @@ TEST(NetServerTest, TcpEndToEndVecAdd) {
 TEST(NetServerTest, UnixSocketEndToEndVecAdd) {
   std::string Path = testing::TempDir() + "/exonet_test.sock";
   ::unlink(Path.c_str());
-  NetRig R({}, nullptr, 1, Path);
+  NetRig R({}, nullptr, Path);
   auto C = NetClient::connectUnix(Path, 30.0, "unix-e2e");
   ASSERT_TRUE(static_cast<bool>(C)) << C.message();
   declareVecAddSurfaces(*C);
@@ -1016,7 +1015,7 @@ TEST(NetServerTest, SurfaceBeyondAddressSpaceIsRefused) {
 
 //===----------------------------------------------------------------------===//
 // Multi-client concurrency soak (the TSan lane: client threads + the
-// server loop + the parallel simulator under EXOCHI_SANITIZE=thread)
+// server loop under EXOCHI_SANITIZE=thread)
 //===----------------------------------------------------------------------===//
 
 TEST(NetServerTest, ConcurrentClientsAllAnswered) {
@@ -1024,7 +1023,7 @@ TEST(NetServerTest, ConcurrentClientsAllAnswered) {
   // Per-client quotas bind before global capacity, so overload is
   // absorbed by backpressure instead of queue-full rejections.
   NC.Serve.Queue.Capacity = 64;
-  NetRig R(NC, nullptr, /*SimThreads=*/4);
+  NetRig R(NC);
   constexpr unsigned Clients = 4, Jobs = 16;
   std::atomic<unsigned> Completed{0};
   std::vector<std::thread> Threads;
@@ -1076,7 +1075,7 @@ struct NetSoakOutcome {
 /// the cross-connection arrival order, making the workload a pure
 /// function of the seed (DESIGN.md §13). Backpressure is off: quota
 /// rejections are part of the workload here.
-NetSoakOutcome runNetSoak(uint64_t Seed, unsigned SimThreads) {
+NetSoakOutcome runNetSoak(uint64_t Seed) {
   fault::FaultInjector Inj =
       cantFail(fault::FaultInjector::parse("all:0.1", Seed));
   NetServerConfig NC;
@@ -1085,7 +1084,7 @@ NetSoakOutcome runNetSoak(uint64_t Seed, unsigned SimThreads) {
   NC.Serve.Breaker.TripThreshold = 1;
   NC.Serve.Watchdog.DefaultBudgetCycles = 100000;
   NC.Backpressure = false;
-  NetRig R(NC, &Inj, SimThreads);
+  NetRig R(NC, &Inj);
 
   constexpr unsigned Conns = 4, NumJobs = 64;
   std::vector<NetClient> Cs;
@@ -1146,17 +1145,17 @@ NetSoakOutcome runNetSoak(uint64_t Seed, unsigned SimThreads) {
 
 } // namespace
 
-TEST(NetSoakTest, ChaosSoakTerminalAndBitIdenticalAcrossSimThreads) {
+TEST(NetSoakTest, ChaosSoakTerminalAndBitIdenticalOnReplay) {
   for (uint64_t Seed : {1u, 2u, 3u, 5u, 7u, 11u, 13u, 42u}) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
-    NetSoakOutcome Serial = runNetSoak(Seed, /*SimThreads=*/1);
+    NetSoakOutcome First = runNetSoak(Seed);
 
     // Liveness: all 64 jobs answered with a terminal state over the
     // wire; injected faults degrade, never fail.
-    ASSERT_EQ(Serial.Jobs.size(), 64u);
+    ASSERT_EQ(First.Jobs.size(), 64u);
     unsigned ZeroBudget = 0;
-    for (size_t K = 0; K < Serial.Jobs.size(); ++K) {
-      uint8_t St = std::get<0>(Serial.Jobs[K]);
+    for (size_t K = 0; K < First.Jobs.size(); ++K) {
+      uint8_t St = std::get<0>(First.Jobs[K]);
       EXPECT_NE(St, static_cast<uint8_t>(serve::JobState::Queued))
           << "job " << K;
       EXPECT_NE(St, static_cast<uint8_t>(serve::JobState::Running))
@@ -1165,13 +1164,12 @@ TEST(NetSoakTest, ChaosSoakTerminalAndBitIdenticalAcrossSimThreads) {
           << "job " << K;
       ZeroBudget +=
           St == static_cast<uint8_t>(serve::JobState::Rejected) &&
-          std::get<1>(Serial.Jobs[K]) ==
+          std::get<1>(First.Jobs[K]) ==
               static_cast<uint8_t>(serve::RejectReason::ZeroBudget);
     }
     EXPECT_EQ(ZeroBudget, 8u);
 
-    NetSoakOutcome Parallel = runNetSoak(Seed, /*SimThreads=*/4);
-    EXPECT_TRUE(Parallel == Serial)
-        << "socket-served workload diverges at SimThreads=4";
+    NetSoakOutcome Replay = runNetSoak(Seed);
+    EXPECT_TRUE(Replay == First) << "socket-served workload diverges on replay";
   }
 }

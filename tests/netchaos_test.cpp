@@ -8,7 +8,7 @@
 // under dropped and truncated Results, cache eviction as the
 // exactly-once window, duplicate-Result suppression, resumable-session
 // reconnect across a drain, and the 8-seed chaos soak replayed
-// bit-identically at SimThreads {1,4} x devices {1,2}.
+// bit-identically at devices {1,1,2}.
 //
 //===----------------------------------------------------------------------===//
 
@@ -65,10 +65,8 @@ struct ChaosRig {
     return C;
   }
 
-  explicit ChaosRig(NetServerConfig NC = {}, unsigned SimThreads = 1,
-                    unsigned Devices = 1)
+  explicit ChaosRig(NetServerConfig NC = {}, unsigned Devices = 1)
       : Platform(configFor(Devices)), RT(Platform) {
-    Platform.setSimThreads(SimThreads);
     chi::ProgramBuilder PB;
     cantFail(PB.addXgmaKernel("vecadd", VecAddAsm, {"i"}, {"A", "B", "C"})
                  .takeError());
@@ -670,7 +668,7 @@ TEST(ExactlyOnceTest, DetachedSessionBoundEvictsTheOldest) {
 }
 
 //===----------------------------------------------------------------------===//
-// The chaos soak: 8 seeds x SimThreads {1,4} x devices {1,2}
+// The chaos soak: 8 seeds x devices {1,1,2}
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -685,9 +683,8 @@ struct SoakOutcome {
 /// One closed-loop accumulation run under two-sided injection. Client
 /// faults perturb Submit frames, server faults perturb Result frames;
 /// both schedules derive only from per-stream frame order, so the same
-/// seed must replay them at any SimThreads / device count.
-SoakOutcome runChaosSoak(uint64_t Seed, unsigned SimThreads,
-                         unsigned Devices) {
+/// seed must replay them at any device count.
+SoakOutcome runChaosSoak(uint64_t Seed, unsigned Devices) {
   constexpr unsigned Jobs = 6;
   constexpr unsigned N = 64;
 
@@ -717,7 +714,7 @@ SoakOutcome runChaosSoak(uint64_t Seed, unsigned SimThreads,
 
   NetServerConfig NC;
   NC.Fault = &SrvF;
-  ChaosRig R(NC, SimThreads, Devices);
+  ChaosRig R(NC, Devices);
 
   SoakOutcome Out;
   {
@@ -752,8 +749,7 @@ SoakOutcome runChaosSoak(uint64_t Seed, unsigned SimThreads,
       for (unsigned K = 0; K < N; ++K)
         EXPECT_EQ(wordAt(D->Data, K),
                   static_cast<int32_t>(Jobs) * static_cast<int32_t>(K))
-            << "seed " << Seed << " st " << SimThreads << " dev " << Devices
-            << " element " << K;
+            << "seed " << Seed << " dev " << Devices << " element " << K;
     }
     (void)C->bye();
   }
@@ -771,7 +767,7 @@ class ChaosSoakTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ChaosSoakTest, ExactlyOnceAndBitIdenticalAcrossConfigs) {
   const uint64_t Seed = GetParam() + 1;
-  SoakOutcome Base = runChaosSoak(Seed, 1, 1);
+  SoakOutcome Base = runChaosSoak(Seed, 1);
   // Exactly-once side effects: every job admitted and executed exactly
   // once, no matter how many retries the wire faults forced.
   EXPECT_EQ(Base.Admitted, 6u);
@@ -779,21 +775,16 @@ TEST_P(ChaosSoakTest, ExactlyOnceAndBitIdenticalAcrossConfigs) {
   EXPECT_FALSE(Base.ServerSched.empty() && Base.ClientSched.empty())
       << "the soak injected nothing — rates too low to test anything";
 
-  struct {
-    unsigned SimThreads, Devices;
-  } Configs[] = {{4, 1}, {1, 2}, {4, 2}};
-  for (auto [ST, Dev] : Configs) {
-    SoakOutcome O = runChaosSoak(Seed, ST, Dev);
-    EXPECT_EQ(O.Admitted, 6u) << "st " << ST << " dev " << Dev;
-    EXPECT_EQ(O.Completed, 6u) << "st " << ST << " dev " << Dev;
+  // A replay of the same configuration, then a second device.
+  for (unsigned Dev : {1u, 2u}) {
+    SoakOutcome O = runChaosSoak(Seed, Dev);
+    EXPECT_EQ(O.Admitted, 6u) << "dev " << Dev;
+    EXPECT_EQ(O.Completed, 6u) << "dev " << Dev;
     // Bit-identical surfaces across the whole matrix.
-    EXPECT_EQ(O.SurfaceC, Base.SurfaceC) << "st " << ST << " dev " << Dev;
-    // The same seed replays the same fault schedule at any SimThreads
-    // and device count.
-    EXPECT_EQ(O.ServerSched, Base.ServerSched) << "st " << ST << " dev "
-                                               << Dev;
-    EXPECT_EQ(O.ClientSched, Base.ClientSched) << "st " << ST << " dev "
-                                               << Dev;
+    EXPECT_EQ(O.SurfaceC, Base.SurfaceC) << "dev " << Dev;
+    // The same seed replays the same fault schedule at any device count.
+    EXPECT_EQ(O.ServerSched, Base.ServerSched) << "dev " << Dev;
+    EXPECT_EQ(O.ClientSched, Base.ClientSched) << "dev " << Dev;
   }
 }
 

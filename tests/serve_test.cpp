@@ -4,8 +4,8 @@
 // with quotas/priorities/shedding, cycle-based deadline budgets enforced
 // at epoch boundaries, the per-EU circuit breaker fed by FaultLab
 // signals, graceful drain, and the liveness + determinism contracts —
-// every submitted job reaches a terminal state, bit-identically for
-// every GmaConfig::SimThreads value (the chaos soak).
+// every submitted job reaches a terminal state, bit-identically in
+// every replay of a seed (the chaos soak).
 //
 //===----------------------------------------------------------------------===//
 
@@ -207,9 +207,7 @@ constexpr const char *VecAddAsm = R"(
 
 /// Platform + runtime + vecadd binary + surfaces, ready to mint JobSpecs.
 struct ServeRig {
-  explicit ServeRig(unsigned SimThreads = 1, unsigned N = 64)
-      : RT(Platform), N(N) {
-    Platform.setSimThreads(SimThreads);
+  explicit ServeRig(unsigned N = 64) : RT(Platform), N(N) {
     chi::ProgramBuilder PB;
     cantFail(
         PB.addXgmaKernel("vecadd", VecAddAsm, {"i"}, {"A", "B", "C"})
@@ -273,77 +271,71 @@ struct ServeRig {
 // preempts only when the next event would land strictly beyond the
 // deadline, so finishing exactly at the budget is within budget. A hair
 // less and the watchdog wins the race at the final epoch boundary.
-// Exercised at SimThreads 1 and 4: the preemption decision happens in
-// the serial phase, so the race resolves identically.
 TEST(ServeDeadlineTest, FinishExactlyAtBudgetCompletes) {
-  for (unsigned Threads : {1u, 4u}) {
-    SCOPED_TRACE("SimThreads=" + std::to_string(Threads));
+  // Probe the natural duration on a pristine rig.
+  chi::TimeNs Natural = 0;
+  {
+    ServeRig R;
+    auto H = R.RT.dispatch(R.makeRegion());
+    ASSERT_TRUE(static_cast<bool>(H)) << H.message();
+    const chi::RegionStats *S = R.RT.regionStats(*H);
+    ASSERT_FALSE(S->DeadlinePreempted);
+    Natural = S->DeviceFinishNs - S->DeviceStartNs;
+    ASSERT_GT(Natural, 0);
+  }
 
-    // Probe the natural duration on a pristine rig.
-    chi::TimeNs Natural = 0;
-    {
-      ServeRig R(Threads);
-      auto H = R.RT.dispatch(R.makeRegion());
-      ASSERT_TRUE(static_cast<bool>(H)) << H.message();
-      const chi::RegionStats *S = R.RT.regionStats(*H);
-      ASSERT_FALSE(S->DeadlinePreempted);
-      Natural = S->DeviceFinishNs - S->DeviceStartNs;
-      ASSERT_GT(Natural, 0);
-    }
+  // Deadline == natural duration: the run's last event lands exactly
+  // on the deadline and must NOT be preempted (the simulation is
+  // deterministic, so the probe transfers exactly).
+  {
+    ServeRig R;
+    chi::RegionSpec Spec = R.makeRegion();
+    Spec.DeadlineNs = Natural;
+    auto H = R.RT.dispatch(Spec);
+    ASSERT_TRUE(static_cast<bool>(H)) << H.message();
+    const chi::RegionStats *S = R.RT.regionStats(*H);
+    EXPECT_FALSE(S->DeadlinePreempted)
+        << "finishing exactly at the budget is within budget";
+    EXPECT_EQ(S->Device.ShredsPreempted, 0u);
+    R.verifyResult();
+  }
 
-    // Deadline == natural duration: the run's last event lands exactly
-    // on the deadline and must NOT be preempted (the simulation is
-    // deterministic, so the probe transfers exactly).
-    {
-      ServeRig R(Threads);
-      chi::RegionSpec Spec = R.makeRegion();
-      Spec.DeadlineNs = Natural;
-      auto H = R.RT.dispatch(Spec);
-      ASSERT_TRUE(static_cast<bool>(H)) << H.message();
-      const chi::RegionStats *S = R.RT.regionStats(*H);
-      EXPECT_FALSE(S->DeadlinePreempted)
-          << "finishing exactly at the budget is within budget";
-      EXPECT_EQ(S->Device.ShredsPreempted, 0u);
-      R.verifyResult();
-    }
-
-    // A hair under the natural duration: the final event would land
-    // past the deadline, so the watchdog preempts at that boundary.
-    {
-      ServeRig R(Threads);
-      chi::RegionSpec Spec = R.makeRegion();
-      Spec.DeadlineNs = Natural * 0.999;
-      auto H = R.RT.dispatch(Spec);
-      ASSERT_TRUE(static_cast<bool>(H)) << H.message();
-      const chi::RegionStats *S = R.RT.regionStats(*H);
-      EXPECT_TRUE(S->DeadlinePreempted);
-      EXPECT_GE(S->Device.ShredsPreempted, 1u);
-      // Preemption lands at the epoch boundary before the deadline;
-      // ops already in flight still retire, so finish sits between the
-      // deadline and the natural duration.
-      EXPECT_LT(S->Device.FinishNs - S->Device.StartNs, Natural);
-    }
+  // A hair under the natural duration: the final event would land
+  // past the deadline, so the watchdog preempts at that boundary.
+  {
+    ServeRig R;
+    chi::RegionSpec Spec = R.makeRegion();
+    Spec.DeadlineNs = Natural * 0.999;
+    auto H = R.RT.dispatch(Spec);
+    ASSERT_TRUE(static_cast<bool>(H)) << H.message();
+    const chi::RegionStats *S = R.RT.regionStats(*H);
+    EXPECT_TRUE(S->DeadlinePreempted);
+    EXPECT_GE(S->Device.ShredsPreempted, 1u);
+    // Preemption lands at the epoch boundary before the deadline;
+    // ops already in flight still retire, so finish sits between the
+    // deadline and the natural duration.
+    EXPECT_LT(S->Device.FinishNs - S->Device.StartNs, Natural);
   }
 }
 
-// Deadline preemption is bit-identical across SimThreads values.
-TEST(ServeDeadlineTest, PreemptionDeterministicAcrossSimThreads) {
-  gma::GmaRunStats Serial;
-  for (unsigned Threads : {1u, 4u}) {
-    ServeRig R(Threads);
+// Deadline preemption is bit-identical when a run is replayed.
+TEST(ServeDeadlineTest, PreemptionReplaysBitIdentically) {
+  gma::GmaRunStats First;
+  for (unsigned Run = 0; Run < 2; ++Run) {
+    ServeRig R;
     chi::RegionSpec Spec = R.makeRegion();
     Spec.DeadlineNs = 40.0; // cuts the run mid-flight
     auto H = R.RT.dispatch(Spec);
     ASSERT_TRUE(static_cast<bool>(H)) << H.message();
     const chi::RegionStats *S = R.RT.regionStats(*H);
     ASSERT_TRUE(S->DeadlinePreempted);
-    if (Threads == 1) {
-      Serial = S->Device;
+    if (Run == 0) {
+      First = S->Device;
       continue;
     }
-    EXPECT_TRUE(S->Device == Serial)
+    EXPECT_TRUE(S->Device == First)
         << "preempted-run stats diverge: preempted "
-        << S->Device.ShredsPreempted << " vs " << Serial.ShredsPreempted;
+        << S->Device.ShredsPreempted << " vs " << First.ShredsPreempted;
   }
 }
 
@@ -760,7 +752,7 @@ TEST(ServeTaskQueueTest, DrainBudgetStopsWavefront) {
 namespace {
 
 /// Everything observable about one served workload, for bit-exact
-/// comparison across SimThreads values.
+/// comparison between two runs of the same seed.
 struct SoakOutcome {
   ServeStats Stats;
   DrainSummary Drain;
@@ -774,8 +766,8 @@ struct SoakOutcome {
 
 /// Submits 64 mixed-priority jobs from 4 clients against a 24-deep
 /// queue under `all:` injection, runs 24, then drains gracefully.
-SoakOutcome runSoak(uint64_t Seed, unsigned SimThreads) {
-  ServeRig R(SimThreads);
+SoakOutcome runSoak(uint64_t Seed) {
+  ServeRig R;
   fault::FaultInjector Inj =
       cantFail(fault::FaultInjector::parse("all:0.1", Seed));
   R.Platform.armFaultInjection(&Inj);
@@ -815,16 +807,16 @@ SoakOutcome runSoak(uint64_t Seed, unsigned SimThreads) {
 
 } // namespace
 
-TEST(ServeSoakTest, EveryJobTerminalAndBitIdenticalAcrossSimThreads) {
+TEST(ServeSoakTest, EveryJobTerminalAndBitIdenticalOnReplay) {
   for (uint64_t Seed : {1u, 2u, 3u, 5u, 7u, 11u, 13u, 42u}) {
     SCOPED_TRACE("seed=" + std::to_string(Seed));
-    SoakOutcome Serial = runSoak(Seed, /*SimThreads=*/1);
+    SoakOutcome First = runSoak(Seed);
 
     // Liveness: all 64 jobs reached a terminal state; the server never
     // hung, errored, or lost a job.
-    ASSERT_EQ(Serial.Jobs.size(), 64u);
-    for (size_t K = 0; K < Serial.Jobs.size(); ++K) {
-      JobState St = std::get<0>(Serial.Jobs[K]);
+    ASSERT_EQ(First.Jobs.size(), 64u);
+    for (size_t K = 0; K < First.Jobs.size(); ++K) {
+      JobState St = std::get<0>(First.Jobs[K]);
       EXPECT_NE(St, JobState::Queued) << "job " << K + 1;
       EXPECT_NE(St, JobState::Running) << "job " << K + 1;
       EXPECT_NE(St, JobState::Failed) << "job " << K + 1
@@ -832,29 +824,28 @@ TEST(ServeSoakTest, EveryJobTerminalAndBitIdenticalAcrossSimThreads) {
                                          "not fail";
     }
     // The mix did exercise the protection machinery.
-    EXPECT_EQ(Serial.Stats.RejectedZeroBudget, 8u);
-    EXPECT_GT(Serial.Stats.RejectedQueueFull + Serial.Stats.Shed +
-                  Serial.Stats.RejectedClientQuota,
+    EXPECT_EQ(First.Stats.RejectedZeroBudget, 8u);
+    EXPECT_GT(First.Stats.RejectedQueueFull + First.Stats.Shed +
+                  First.Stats.RejectedClientQuota,
               0u)
         << "overload path never engaged";
-    EXPECT_EQ(Serial.Stats.Submitted, 64u);
-    EXPECT_EQ(Serial.Stats.Completed + Serial.Stats.DeadlinePreempted +
-                  Serial.Stats.Drained + Serial.Stats.Failed +
-                  Serial.Stats.Shed + Serial.Stats.RejectedQueueFull +
-                  Serial.Stats.RejectedClientQuota +
-                  Serial.Stats.RejectedZeroBudget +
-                  Serial.Stats.RejectedDraining,
+    EXPECT_EQ(First.Stats.Submitted, 64u);
+    EXPECT_EQ(First.Stats.Completed + First.Stats.DeadlinePreempted +
+                  First.Stats.Drained + First.Stats.Failed +
+                  First.Stats.Shed + First.Stats.RejectedQueueFull +
+                  First.Stats.RejectedClientQuota +
+                  First.Stats.RejectedZeroBudget +
+                  First.Stats.RejectedDraining,
               64u)
         << "every job accounted for exactly once";
 
-    // Determinism: the whole served workload replays bit-identically
-    // with the parallel engine.
-    SoakOutcome Parallel = runSoak(Seed, /*SimThreads=*/4);
-    EXPECT_TRUE(Parallel == Serial)
-        << "served workload diverges at SimThreads=4 (completed "
-        << Parallel.Stats.Completed << " vs " << Serial.Stats.Completed
-        << ", preempted " << Parallel.Stats.DeadlinePreempted << " vs "
-        << Serial.Stats.DeadlinePreempted << ")";
+    // Determinism: the whole served workload replays bit-identically.
+    SoakOutcome Replay = runSoak(Seed);
+    EXPECT_TRUE(Replay == First)
+        << "served workload diverges on replay (completed "
+        << Replay.Stats.Completed << " vs " << First.Stats.Completed
+        << ", preempted " << Replay.Stats.DeadlinePreempted << " vs "
+        << First.Stats.DeadlinePreempted << ")";
   }
 }
 

@@ -82,7 +82,6 @@ int main(int Argc, char **Argv) {
   uint64_t InjectSeed = 1;
   int MaxRetries = -1; ///< -1 = leave the platform default
   unsigned Shreds = 1;
-  int SimThreads = -1; ///< -1 = leave the platform default
   std::string Backend; ///< --backend: cycle|fast ("" = EXOCHI_BACKEND/default)
   int64_t ServeJobs = 0;      ///< --serve: number of ExoServe jobs (0 = off)
   int64_t ServeClients = 4;   ///< --clients: synthetic client count
@@ -182,18 +181,7 @@ int main(int Argc, char **Argv) {
       StealSeed = parseCount("--steal-seed", Val, 0);
     else if (matchValueOpt("--stats-out", Val))
       StatsOut = Val;
-    else if (A == "--sim-threads" || A.rfind("--sim-threads=", 0) == 0) {
-      std::string V = A.size() > 13 && A[13] == '='
-                          ? A.substr(14)
-                          : std::string(Next());
-      auto N = parseInt(V);
-      if (!N || *N < 0) {
-        std::fprintf(stderr, "exochi-run: bad --sim-threads value '%s'\n",
-                     V.c_str());
-        return 2;
-      }
-      SimThreads = static_cast<unsigned>(*N);
-    } else if (matchValueOpt("--backend", Val)) {
+    else if (matchValueOpt("--backend", Val)) {
       if (!gma::parseBackendName(Val)) {
         std::fprintf(stderr,
                      "exochi-run: bad --backend value '%s' (need cycle or "
@@ -267,7 +255,7 @@ int main(int Argc, char **Argv) {
                    "usage: exochi-run <file.xfb> --kernel <name> "
                    "[--shreds N] [--surface n=WxH[:zero|seq|rand]] "
                    "[--param n=<int>|shred] [--trace out.json] "
-                   "[--sim-threads N] [--backend cycle|fast] "
+                   "[--backend cycle|fast] "
                    "[--lint=ignore|collect|reject]\n"
                    "       [--inject <kind:rate,...|all:rate>] "
                    "[--inject-seed N] [--max-retries K]\n"
@@ -416,8 +404,6 @@ int main(int Argc, char **Argv) {
   }
   if (MaxRetries >= 0)
     Platform.setMaxRetries(static_cast<unsigned>(MaxRetries));
-  if (SimThreads >= 0)
-    RT.setFeature(chi::Feature::SimThreads, SimThreads);
   if (Backend.empty())
     if (const char *Env = std::getenv("EXOCHI_BACKEND"))
       Backend = Env;
