@@ -1530,17 +1530,15 @@ Trace compileTrace(const gma::KernelImage &K, TraceMode Mode) {
   // Branches into the middle of a run stay correct — each member
   // carries its own (shorter) suffix.
   //
-  // Gate on XCost's structural verdict (value-independent: every
-  // register unknown at entry): a kernel whose CFG is irreducible or
+  // Gate on XCost's structural verdict, which reads no register value,
+  // so the default spec serves: a kernel whose CFG is irreducible or
   // whose waits cannot be matched to an in-kernel xmit keeps
   // single-step dispatch, where the park/wake bookkeeping of the
   // cooperative scheduler is easiest to audit. Finite bounds are NOT
   // required — the Table 2 kernels all have parameter-dependent trip
   // counts and must stay fused.
-  xopt::VerifySpec CostSpec;
-  CostSpec.NumScalarParams = isa::NumVRegs;
   const bool Fusable =
-      xopt::analyzeCost(K.Code, CostSpec, K.Name).structureOk();
+      xopt::analyzeCost(K.Code, xopt::VerifySpec(), K.Name).structureOk();
   for (size_t Pc = T.Ops.size(); Pc-- > 0;) {
     FastOp &Op = T.Ops[Pc];
     Op.BlockIssue = Op.IssueCycles;

@@ -9,20 +9,18 @@
 #include "isa/Decoded.h"
 #include "support/Format.h"
 #include "xopt/Cfg.h"
+#include "xopt/Values.h"
 
 #include <algorithm>
-#include <array>
 #include <bitset>
 #include <cmath>
-#include <cstring>
 #include <deque>
 #include <limits>
-#include <map>
+#include <optional>
 #include <set>
 
 using namespace exochi;
 using namespace exochi::xopt;
-using isa::ElemType;
 using isa::Instruction;
 using isa::Opcode;
 using isa::Operand;
@@ -33,36 +31,11 @@ namespace {
 constexpr int64_t I32Min = INT32_MIN;
 constexpr int64_t I32Max = INT32_MAX;
 
-Range int32Full() { return Range::of(I32Min, I32Max); }
-
 /// An interval endpoint at or beyond the int32 extremes carries no real
 /// information (it is the "don't know" default of the register domain),
 /// so trip-count math must not build finite bounds from it.
 bool vagueLo(int64_t V) { return V <= I32Min; }
 bool vagueHi(int64_t V) { return V >= I32Max; }
-
-Range typeRange(ElemType Ty) {
-  switch (Ty) {
-  case ElemType::I8:
-    return Range::of(-128, 127);
-  case ElemType::I16:
-    return Range::of(-32768, 32767);
-  default:
-    return int32Full();
-  }
-}
-
-bool isIntType(ElemType Ty) {
-  return Ty == ElemType::I8 || Ty == ElemType::I16 || Ty == ElemType::I32;
-}
-
-/// Architectural truncation after an integer ALU op: a result proven to
-/// fit the element type keeps its interval, anything else degrades to
-/// the type's representable range (wrapping never escapes it).
-Range clampToType(const Range &V, ElemType Ty) {
-  Range T = typeRange(Ty);
-  return V.within(T) ? V : T;
-}
 
 /// Issue cost of \p I in integer half-cycle units. The cycle model
 /// charges in multiples of 0.5 EU cycles; integers keep path sums exact.
@@ -80,301 +53,41 @@ int64_t floorDiv(int64_t A, int64_t B) {
   return A >= 0 ? A / B : -((-A + B - 1) / B);
 }
 
-//===----------------------------------------------------------------------===//
-// Value analysis: a flow-sensitive interval per vector register
-//===----------------------------------------------------------------------===//
-
-using RegState = std::array<Range, isa::NumVRegs>;
-
-/// Forward interval analysis over vr0..vr127. Only the integer facts the
-/// loop-bound inference needs are modeled precisely; everything else
-/// (floats, loads, bitwise ops) soundly degrades to the full 32-bit
-/// range. Registers start at the dispatch state: parameters at their
-/// spec ranges, everything else zero (the device memsets the file).
-class ValueAnalysis {
-public:
-  ValueAnalysis(const std::vector<Instruction> &Code, const VerifySpec &Spec)
-      : Code(Code), Spec(Spec) {}
-
-  void run() {
-    const uint32_t N = static_cast<uint32_t>(Code.size());
-    In.assign(N, RegState());
-    Reached.assign(N, false);
-    std::vector<unsigned> Joins(N, 0);
-    std::deque<uint32_t> Work;
-    std::vector<bool> Queued(N, false);
-
-    if (N == 0)
-      return;
-    In[0] = entryState();
-    Reached[0] = true;
-    Work.push_back(0);
-    Queued[0] = true;
-
-    while (!Work.empty()) {
-      uint32_t Idx = Work.front();
-      Work.pop_front();
-      Queued[Idx] = false;
-      RegState OutS = transfer(Idx, In[Idx]);
-      for (uint32_t S : successors(Code, Idx)) {
-        if (S >= N)
-          continue; // fall-off / halt: no successor state
-        bool Changed = false;
-        if (!Reached[S]) {
-          In[S] = OutS;
-          Reached[S] = true;
-          Changed = true;
-        } else {
-          RegState J = In[S];
-          for (unsigned R = 0; R < isa::NumVRegs; ++R) {
-            Range H = Range::hull(J[R], OutS[R]);
-            if (H != J[R]) {
-              if (Joins[S] >= WidenAfter)
-                H = H.widenedFrom(J[R]);
-              J[R] = H;
-              Changed = true;
-            }
-          }
-          if (Changed) {
-            ++Joins[S];
-            In[S] = J;
-          }
-        }
-        if (Changed && !Queued[S]) {
-          Work.push_back(S);
-          Queued[S] = true;
-        }
-      }
-    }
-  }
-
-  const RegState &in(uint32_t Idx) const { return In[Idx]; }
-  RegState out(uint32_t Idx) const { return transfer(Idx, In[Idx]); }
-
-  RegState entryState() const {
-    RegState S;
-    S.fill(Range::point(0));
-    for (unsigned P = 0; P < Spec.NumScalarParams && P < isa::NumVRegs; ++P) {
-      Range R = int32Full();
-      auto It = Spec.ParamRanges.find(P);
-      if (It != Spec.ParamRanges.end() && It->second.intersects(R))
-        R = Range::of(std::max(It->second.Lo, I32Min),
-                      std::min(It->second.Hi, I32Max));
-      S[P] = R;
-    }
-    return S;
-  }
-
-private:
-  static constexpr unsigned WidenAfter = 16;
-
-  /// The interval feeding lane \p Lane of operand \p O.
-  static Range srcLane(const RegState &S, const Operand &O, unsigned Lane) {
-    switch (O.Kind) {
-    case OperandKind::Imm:
-      return Range::point(O.Imm);
-    case OperandKind::None:
-      return Range::point(0); // interpreters substitute 0
-    case OperandKind::Reg:
-      return S[O.Reg0];
-    case OperandKind::RegRange: {
-      unsigned R = O.Reg0 + std::min<unsigned>(Lane, O.Reg1 - O.Reg0);
-      return S[R];
-    }
-    default:
-      return int32Full();
-    }
-  }
-
-  RegState transfer(uint32_t Idx, const RegState &S) const {
-    const Instruction &I = Code[Idx];
-    switch (I.Op) {
-    case Opcode::Mov:
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::Mac:
-    case Opcode::Div:
-    case Opcode::Min:
-    case Opcode::Max:
-    case Opcode::Avg:
-    case Opcode::Abs:
-    case Opcode::Shl:
-    case Opcode::Shr:
-    case Opcode::Asr:
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor:
-    case Opcode::Not:
-    case Opcode::Sel:
-    case Opcode::Cvt:
-    case Opcode::Sid:
-    case Opcode::Ld:
-    case Opcode::LdBlk:
-    case Opcode::Sample:
-    case Opcode::Wait:
-      break; // modeled below
-    default: {
-      // Anything else (stores, control flow, xmit, spawn, cmp, ...): kill
-      // whatever vector registers it may define, keep the rest.
-      RegState S2 = S;
-      UseDef UD = useDef(I);
-      for (unsigned R = 0; R < isa::NumVRegs; ++R)
-        if (UD.Def[R])
-          S2[R] = int32Full();
-      return S2;
-    }
-    }
-
-    if (!I.Dst.isReg())
-      return S;
-    unsigned NDst = I.Dst.regCount();
-    // Compute every lane from the pre-state first: `mov [vr2..vr3] =
-    // [vr1..vr2]` reads vr2 before overwriting it.
-    std::array<Range, isa::NumVRegs> Vals;
-    for (unsigned K = 0; K < NDst; ++K)
-      Vals[K] = laneValue(I, S, I.Dst.Reg0 + K, K);
-    bool Partial = I.PredReg != isa::NoPred && I.Op != Opcode::Sel;
-    RegState S2 = S;
-    for (unsigned K = 0; K < NDst; ++K) {
-      unsigned D = I.Dst.Reg0 + K;
-      if (D >= isa::NumVRegs)
-        break;
-      S2[D] = Partial ? Range::hull(S[D], Vals[K]) : Vals[K];
-    }
-    return S2;
-  }
-
-  Range laneValue(const Instruction &I, const RegState &S, unsigned DstReg,
-                  unsigned Lane) const {
-    Range A = srcLane(S, I.Src0, Lane);
-    Range B = srcLane(S, I.Src1, Lane);
-    // Float results hold IEEE bit patterns: any int32 reinterpretation.
-    bool IntOp = isIntType(I.Ty);
-    switch (I.Op) {
-    case Opcode::Mov:
-      return A; // pure copy: exact for any type
-    case Opcode::Add:
-      return IntOp ? clampToType(Range::add(A, B), I.Ty) : int32Full();
-    case Opcode::Sub:
-      return IntOp ? clampToType(Range::sub(A, B), I.Ty) : int32Full();
-    case Opcode::Mul:
-      return IntOp ? clampToType(Range::mul(A, B), I.Ty) : int32Full();
-    case Opcode::Mac:
-      return IntOp ? clampToType(Range::add(S[DstReg], Range::mul(A, B)), I.Ty)
-                   : int32Full();
-    case Opcode::Min:
-      return IntOp ? Range::min(A, B) : int32Full();
-    case Opcode::Max:
-      return IntOp ? Range::max(A, B) : int32Full();
-    case Opcode::Avg:
-      return IntOp ? clampToType(Range::avg(A, B), I.Ty) : int32Full();
-    case Opcode::Abs:
-      return IntOp ? clampToType(Range::abs(A), I.Ty) : int32Full();
-    case Opcode::Shl:
-      if (IntOp && B.isPoint() && B.Lo >= 0 && B.Lo < 32)
-        return clampToType(Range::shlConst(A, static_cast<unsigned>(B.Lo)),
-                           I.Ty);
-      return IntOp ? typeRange(I.Ty) : int32Full();
-    case Opcode::Asr:
-      if (IntOp && B.isPoint() && B.Lo >= 0 && B.Lo < 64)
-        return Range::asrConst(A, static_cast<unsigned>(B.Lo));
-      return IntOp ? typeRange(I.Ty) : int32Full();
-    case Opcode::Sel:
-      return Range::hull(A, B);
-    case Opcode::Cvt:
-      return isIntType(I.Ty) ? typeRange(I.Ty) : int32Full();
-    case Opcode::Sid:
-      return Range::of(std::max<int64_t>(Spec.SidLo, I32Min),
-                       std::min<int64_t>(Spec.SidHi, I32Max));
-    default:
-      // Shr/And/Or/Xor/Not/Div/Ld/LdBlk/Sample/Wait: value unknown.
-      return IntOp ? typeRange(I.Ty) : int32Full();
-    }
-  }
-
-  const std::vector<Instruction> &Code;
-  const VerifySpec &Spec;
-  std::vector<RegState> In;
-  std::vector<bool> Reached;
-};
-
-//===----------------------------------------------------------------------===//
-// CFG structure: dominators, natural loops
-//===----------------------------------------------------------------------===//
-
-constexpr uint32_t Undef = 0xffffffffu;
-
-/// One natural loop (back edges sharing a header are merged).
-struct Loop {
-  uint32_t Header = 0;
-  std::vector<uint32_t> Body; ///< sorted original instruction indices
-};
-
 /// The whole-kernel cost analysis, run once per analyzeCost call.
 class CostAnalysis {
 public:
   CostAnalysis(const std::vector<Instruction> &Code, const VerifySpec &Spec,
                CostReport &R)
-      : Code(Code), N(static_cast<uint32_t>(Code.size())), ExitN(N), R(R),
-        Values(Code, Spec) {}
+      : Code(Code), Spec(Spec), N(static_cast<uint32_t>(Code.size())), R(R),
+        G(Code) {}
 
   void run() {
-    buildGraph();
     checkSyncAndSpawn();
-    if (!Reachable[0])
-      return; // impossible: node 0 seeds reachability
-    computeRpo();
-    computeDominators();
-    findLoops();
+    for (auto [U, H] : G.irreducibleEdges()) {
+      R.Reducible = false;
+      R.Diags.warn(U, formatString("cost unbounded: irreducible control "
+                                   "flow (retreating edge to pc %u whose "
+                                   "target does not dominate the jump)",
+                                   H));
+    }
     if (!R.Reducible) {
       R.ShredHalfCycles = Range::of(0, Range::PosInf);
       return;
     }
-    Values.run();
+    Values.emplace(Code, G, Spec);
     collapseLoopsAndBound();
     if (!R.StallsProven)
       R.ShredHalfCycles.Hi = Range::PosInf;
   }
 
 private:
-  /// Successors with halt normalized to the virtual exit node.
-  std::vector<uint32_t> succOf(uint32_t Idx) const {
-    std::vector<uint32_t> S = successors(Code, Idx);
-    if (S.empty())
-      S.push_back(ExitN);
-    for (uint32_t &T : S)
-      T = std::min(T, ExitN);
-    return S;
-  }
-
-  void buildGraph() {
-    Reachable.assign(N + 1, false);
-    Preds.assign(N + 1, {});
-    std::vector<uint32_t> Stack{0};
-    Reachable[0] = true;
-    while (!Stack.empty()) {
-      uint32_t Idx = Stack.back();
-      Stack.pop_back();
-      if (Idx == ExitN)
-        continue;
-      for (uint32_t S : succOf(Idx)) {
-        Preds[S].push_back(Idx);
-        if (!Reachable[S]) {
-          Reachable[S] = true;
-          Stack.push_back(S);
-        }
-      }
-    }
-  }
-
   void checkSyncAndSpawn() {
     std::bitset<isa::NumVRegs> XmitRegs;
     for (uint32_t Idx = 0; Idx < N; ++Idx)
-      if (Reachable[Idx] && Code[Idx].Op == Opcode::Xmit)
+      if (G.reachable(Idx) && Code[Idx].Op == Opcode::Xmit)
         XmitRegs.set(Code[Idx].Dst.Reg0);
     for (uint32_t Idx = 0; Idx < N; ++Idx) {
-      if (!Reachable[Idx])
+      if (!G.reachable(Idx))
         continue;
       const Instruction &I = Code[Idx];
       if (I.Op == Opcode::Wait && !XmitRegs.test(I.Dst.Reg0)) {
@@ -394,129 +107,6 @@ private:
     }
   }
 
-  void computeRpo() {
-    // Iterative postorder DFS over reachable nodes, then reverse.
-    RpoNum.assign(N + 1, Undef);
-    std::vector<std::pair<uint32_t, size_t>> Stack;
-    std::vector<bool> Visited(N + 1, false);
-    std::vector<uint32_t> Post;
-    Stack.push_back({0, 0});
-    Visited[0] = true;
-    std::vector<std::vector<uint32_t>> Succs(N + 1);
-    for (uint32_t Idx = 0; Idx < N; ++Idx)
-      if (Reachable[Idx])
-        Succs[Idx] = succOf(Idx);
-    while (!Stack.empty()) {
-      auto &[Idx, Pos] = Stack.back();
-      if (Pos < Succs[Idx].size()) {
-        uint32_t S = Succs[Idx][Pos++];
-        if (!Visited[S]) {
-          Visited[S] = true;
-          Stack.push_back({S, 0});
-        }
-      } else {
-        Post.push_back(Idx);
-        Stack.pop_back();
-      }
-    }
-    Rpo.assign(Post.rbegin(), Post.rend());
-    for (uint32_t K = 0; K < Rpo.size(); ++K)
-      RpoNum[Rpo[K]] = K;
-  }
-
-  /// Cooper–Harvey–Kennedy iterative dominators over the RPO.
-  void computeDominators() {
-    Idom.assign(N + 1, Undef);
-    Idom[0] = 0;
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (uint32_t Node : Rpo) {
-        if (Node == 0)
-          continue;
-        uint32_t NewIdom = Undef;
-        for (uint32_t P : Preds[Node]) {
-          if (Idom[P] == Undef)
-            continue;
-          NewIdom = NewIdom == Undef ? P : intersect(P, NewIdom);
-        }
-        if (NewIdom != Undef && Idom[Node] != NewIdom) {
-          Idom[Node] = NewIdom;
-          Changed = true;
-        }
-      }
-    }
-  }
-
-  uint32_t intersect(uint32_t A, uint32_t B) const {
-    while (A != B) {
-      while (RpoNum[A] > RpoNum[B])
-        A = Idom[A];
-      while (RpoNum[B] > RpoNum[A])
-        B = Idom[B];
-    }
-    return A;
-  }
-
-  bool dominates(uint32_t A, uint32_t B) const {
-    if (Idom[B] == Undef)
-      return false;
-    while (true) {
-      if (A == B)
-        return true;
-      if (B == 0)
-        return false;
-      B = Idom[B];
-    }
-  }
-
-  void findLoops() {
-    std::map<uint32_t, std::set<uint32_t>> Bodies;
-    for (uint32_t U = 0; U < N; ++U) {
-      if (!Reachable[U])
-        continue;
-      for (uint32_t H : succOf(U)) {
-        if (H == ExitN || RpoNum[H] > RpoNum[U])
-          continue; // forward edge
-        if (!dominates(H, U)) {
-          R.Reducible = false;
-          R.Diags.warn(U, formatString("cost unbounded: irreducible control "
-                                       "flow (retreating edge to pc %u whose "
-                                       "target does not dominate the jump)",
-                                       H));
-          continue;
-        }
-        // Natural loop of back edge U -> H: all nodes reaching U without
-        // passing H.
-        std::set<uint32_t> &B = Bodies[H];
-        B.insert(H);
-        std::vector<uint32_t> Stack;
-        if (!B.count(U)) {
-          B.insert(U);
-          Stack.push_back(U);
-        }
-        while (!Stack.empty()) {
-          uint32_t Node = Stack.back();
-          Stack.pop_back();
-          for (uint32_t P : Preds[Node])
-            if (B.insert(P).second)
-              Stack.push_back(P);
-        }
-      }
-    }
-    for (auto &[H, B] : Bodies) {
-      Loop L;
-      L.Header = H;
-      L.Body.assign(B.begin(), B.end());
-      Loops.push_back(std::move(L));
-    }
-    // Innermost first: a nested loop's body is a strict subset, so sort
-    // by body size (equal sizes are disjoint loops; order irrelevant).
-    std::sort(Loops.begin(), Loops.end(), [](const Loop &A, const Loop &B) {
-      return A.Body.size() < B.Body.size();
-    });
-  }
-
   //===--------------------------------------------------------------------===//
   // Loop collapsing + path bounds
   //===--------------------------------------------------------------------===//
@@ -527,17 +117,17 @@ private:
     Weight.assign(N + 1, Range::point(0));
     CurSuccs.assign(N + 1, {});
     for (uint32_t Idx = 0; Idx <= N; ++Idx) {
-      if (!Reachable[Idx])
+      if (!G.reachable(Idx))
         continue;
       Alive[Idx] = true;
       if (Idx < N) {
         Weight[Idx] = Range::point(halfCycles(Code[Idx]));
-        for (uint32_t S : succOf(Idx))
+        for (uint32_t S : G.succs(Idx))
           CurSuccs[Idx].insert(S);
       }
     }
 
-    for (const Loop &L : Loops)
+    for (const NaturalLoop &L : G.loops())
       collapseLoop(L);
 
     // Entry-to-exit min/max path over the final DAG.
@@ -549,7 +139,7 @@ private:
                             "collapsing");
       return;
     }
-    int64_t Lo = DistLo[ExitN], Hi = DistHi[ExitN];
+    int64_t Lo = DistLo[N], Hi = DistHi[N];
     if (Lo == Range::PosInf) {
       // No entry-to-exit path survives: every path enters a loop that
       // never exits. The (already-diagnosed) unbounded verdict stands;
@@ -577,7 +167,7 @@ private:
                     std::vector<int64_t> &DistLo,
                     std::vector<int64_t> &DistHi,
                     const std::set<uint32_t> *Restrict = nullptr,
-                    uint32_t ExcludeEdgesTo = Undef) const {
+                    uint32_t ExcludeEdgesTo = NoInstr) const {
     std::vector<bool> InSet(N + 1, false);
     for (uint32_t Node : Nodes)
       InSet[Node] = true;
@@ -627,7 +217,7 @@ private:
     return true;
   }
 
-  void collapseLoop(const Loop &L) {
+  void collapseLoop(const NaturalLoop &L) {
     const uint32_t H = L.Header;
     if (!Alive[H])
       return; // body of an irreducible mess; defensive
@@ -756,7 +346,7 @@ private:
     int64_t Hi = Range::PosInf;
   };
 
-  void inferTripBounds(const Loop &L, const std::set<uint32_t> &BodySet,
+  void inferTripBounds(const NaturalLoop &L, const std::set<uint32_t> &BodySet,
                        const std::vector<uint32_t> &Active, LoopBound &LB) {
     int64_t TripHi = Range::PosInf;
     int64_t TripLo = Range::PosInf;
@@ -789,23 +379,29 @@ private:
 
   /// Tries to bound how many body executions can precede the exit taken
   /// at branch \p U of loop \p L.
-  ExitTrip analyzeExit(const Loop &L, const std::set<uint32_t> &BodySet,
+  ExitTrip analyzeExit(const NaturalLoop &L, const std::set<uint32_t> &BodySet,
                        uint32_t U) {
     ExitTrip Fail;
     const Instruction &BrI = Code[U];
     if (BrI.Op != Opcode::Br || LoopNode[U])
       return Fail;
+    // The check counts iterations only if every iteration runs it: back
+    // edges that share a header form one loop, and a latch the branch
+    // does not dominate starts iterations that skip it.
+    for (uint32_t P : G.preds(L.Header))
+      if (BodySet.count(P) && !G.dominates(U, P))
+        return Fail;
 
     // Find the comparison that produced the branch predicate: walk the
     // unique straight-line chain backwards (each step must be the sole
     // predecessor fall-through) until the defining Cmp. Only Cmp writes
     // predicate registers, so the first match is the reaching def.
-    uint32_t CmpIdx = Undef;
+    uint32_t CmpIdx = NoInstr;
     std::set<uint32_t> ChainAfterCmp; // nodes strictly between cmp and br
     uint32_t Cur = U;
     while (Cur > 0) {
       uint32_t P = Cur - 1;
-      if (Preds[Cur].size() != 1 || Preds[Cur][0] != P)
+      if (G.preds(Cur).size() != 1 || G.preds(Cur)[0] != P)
         break;
       if (!Alive[P] || LoopNode[P] || !BodySet.count(P))
         break;
@@ -818,7 +414,7 @@ private:
       ChainAfterCmp.insert(P);
       Cur = P;
     }
-    if (CmpIdx == Undef)
+    if (CmpIdx == NoInstr)
       return Fail;
     const Instruction &CmpI = Code[CmpIdx];
 
@@ -834,20 +430,20 @@ private:
       // original loop body, an unpredicated scalar add/sub of a nonzero
       // immediate, executing exactly once per iteration (it dominates
       // the exit branch) and not hidden inside a collapsed inner loop.
-      uint32_t DefIdx = Undef;
+      uint32_t DefIdx = NoInstr;
       bool MultiDef = false;
       for (uint32_t Node : L.Body) {
         if (Node >= N)
           continue;
         if (useDef(Code[Node]).Def.test(R)) {
-          if (DefIdx != Undef)
+          if (DefIdx != NoInstr)
             MultiDef = true;
           DefIdx = Node;
         }
       }
-      if (MultiDef || DefIdx == Undef)
+      if (MultiDef || DefIdx == NoInstr)
         continue;
-      if (!Alive[DefIdx] || LoopNode[DefIdx] || !dominates(DefIdx, U))
+      if (!Alive[DefIdx] || LoopNode[DefIdx] || !G.dominates(DefIdx, U))
         continue;
       int64_t Step = inductionStep(Code[DefIdx], R);
       if (Step == 0)
@@ -865,7 +461,7 @@ private:
             Invariant = false;
         if (!Invariant)
           continue;
-        Lim = Values.in(CmpIdx)[LimO.Reg0];
+        Lim = readScalar(LimO, Values->in(CmpIdx)).Val;
       } else {
         continue;
       }
@@ -874,15 +470,15 @@ private:
       // edge (predecessors of the header outside the body).
       Range Init;
       bool HaveInit = false;
-      for (uint32_t P : Preds[L.Header]) {
-        if (BodySet.count(P) || !Reachable[P])
+      for (uint32_t P : G.preds(L.Header)) {
+        if (BodySet.count(P) || !G.reachable(P))
           continue;
-        Range V = Values.out(P)[R];
+        Range V = readScalar(IndO, Values->out(P)).Val;
         Init = HaveInit ? Range::hull(Init, V) : V;
         HaveInit = true;
       }
       if (L.Header == 0) {
-        Range V = Values.entryState()[R];
+        Range V = readScalar(IndO, Values->entry()).Val;
         Init = HaveInit ? Range::hull(Init, V) : V;
         HaveInit = true;
       }
@@ -1027,17 +623,12 @@ private:
   }
 
   const std::vector<Instruction> &Code;
-  const uint32_t N;
-  const uint32_t ExitN;
+  const VerifySpec &Spec;
+  const uint32_t N; ///< instruction count; node N is the exit
   CostReport &R;
-  ValueAnalysis Values;
-
-  std::vector<bool> Reachable;
-  std::vector<std::vector<uint32_t>> Preds;
-  std::vector<uint32_t> Rpo;
-  std::vector<uint32_t> RpoNum;
-  std::vector<uint32_t> Idom;
-  std::vector<Loop> Loops;
+  const Cfg G;
+  /// Run only for reducible graphs.
+  std::optional<KernelValues> Values;
 
   // Collapsed-graph state.
   std::vector<bool> Alive;

@@ -8,16 +8,16 @@
 /// XCost, the static per-kernel cycle-cost analyzer (DESIGN.md §15). It
 /// bounds the issue-cycle cost of one shred executing a kernel:
 ///
-///  1. Natural-loop detection over the xopt::Cfg instruction graph
-///     (reverse-postorder dominators, back edges, innermost-first loop
-///     nesting; irreducible control flow is detected and reported).
+///  1. The natural loops of the xopt::Cfg instruction graph, innermost
+///     first (reverse-postorder dominators and back edges live in Cfg;
+///     irreducible control flow is detected there and reported here).
 ///
 ///  2. Affine loop-bound inference: a loop whose exit branch tests a
 ///     single-register induction variable (`add/sub r = r, imm`) against
-///     a loop-invariant limit gets `[TripLo, TripHi]` trip bounds from the
-///     same interval domain XVerify uses (xopt/Range.h), sharpened by the
-///     dispatch geometry and parameter ranges in the VerifySpec exactly
-///     the way `exochi-run --lint` sharpens XVerify.
+///     a loop-invariant limit gets `[TripLo, TripHi]` trip bounds. The
+///     limit and start values come from the value analysis XVerify reads
+///     too (xopt::KernelValues), under the same VerifySpec: parameter
+///     ranges and the sid range sharpen both passes alike.
 ///
 ///  3. A per-opcode cost model taken verbatim from the cycle
 ///     interpreter's charging rule (isa::decodedIssueCycles): every

@@ -93,36 +93,24 @@ LintReport xopt::lintKernel(const std::vector<Instruction> &Code,
   for (const Instruction &I : Code)
     UD.push_back(useDef(I));
 
-  // Reachability from the entry.
-  std::vector<bool> Reachable(Code.size(), false);
+  const Cfg G(Code);
+  // A reachable instruction other than halt that leads to the exit falls
+  // off the end.
   bool FallOff = false;
-  {
-    std::vector<uint32_t> Work{0};
-    Reachable[0] = true;
-    while (!Work.empty()) {
-      uint32_t Idx = Work.back();
-      Work.pop_back();
-      for (uint32_t S : successors(Code, Idx)) {
-        if (S >= Code.size()) {
-          FallOff = true;
-          continue;
-        }
-        if (!Reachable[S]) {
-          Reachable[S] = true;
-          Work.push_back(S);
-        }
-      }
-    }
-  }
+  for (uint32_t Idx = 0; Idx < Code.size(); ++Idx)
+    if (G.reachable(Idx) && Code[Idx].Op != Opcode::Halt)
+      for (uint32_t S : G.succs(Idx))
+        FallOff |= S == G.exit();
+
   // Unreachable code, grouped into maximal blocks so a skipped region
   // reads as one finding instead of one note per instruction.
   for (uint32_t Idx = 0; Idx < Code.size();) {
-    if (Reachable[Idx]) {
+    if (G.reachable(Idx)) {
       ++Idx;
       continue;
     }
     uint32_t End = Idx;
-    while (End + 1 < Code.size() && !Reachable[End + 1])
+    while (End + 1 < Code.size() && !G.reachable(End + 1))
       ++End;
     if (End == Idx)
       Report.note(Idx, formatString("instruction is unreachable: %s",
@@ -149,18 +137,11 @@ LintReport xopt::lintKernel(const std::vector<Instruction> &Code,
   std::vector<LocSet> InitIn(Code.size(), All);
   InitIn[0] = Entry;
 
-  // Predecessor lists.
-  std::vector<std::vector<uint32_t>> Preds(Code.size());
-  for (uint32_t Idx = 0; Idx < Code.size(); ++Idx)
-    for (uint32_t S : successors(Code, Idx))
-      if (S < Code.size())
-        Preds[S].push_back(Idx);
-
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (uint32_t Idx = 0; Idx < Code.size(); ++Idx) {
-      if (!Reachable[Idx])
+      if (!G.reachable(Idx))
         continue;
       // Initialization facts are monotone (a write is never undone), so
       // the entry facts hold on every path and In[0] is just the ABI set
@@ -170,9 +151,8 @@ LintReport xopt::lintKernel(const std::vector<Instruction> &Code,
         In = Entry;
       } else {
         In = All;
-        for (uint32_t P : Preds[Idx])
-          if (Reachable[P])
-            In &= InitIn[P] | UD[P].Def;
+        for (uint32_t P : G.preds(Idx))
+          In &= InitIn[P] | UD[P].Def;
       }
       if (In != InitIn[Idx]) {
         InitIn[Idx] = In;
@@ -184,7 +164,7 @@ LintReport xopt::lintKernel(const std::vector<Instruction> &Code,
   // Report uses of possibly-uninitialized locations (deduplicated).
   std::set<std::pair<uint32_t, unsigned>> Seen;
   for (uint32_t Idx = 0; Idx < Code.size(); ++Idx) {
-    if (!Reachable[Idx])
+    if (!G.reachable(Idx))
       continue;
     LocSet Missing = UD[Idx].Use & ~InitIn[Idx];
     for (unsigned L = 0; L < NumLocs; ++L) {
@@ -205,7 +185,7 @@ LintReport xopt::lintKernel(const std::vector<Instruction> &Code,
   // genuine accumulators are not flagged.)
   std::vector<LocSet> Live = liveOut(Code);
   for (uint32_t Idx = 0; Idx < Code.size(); ++Idx) {
-    if (!Reachable[Idx])
+    if (!G.reachable(Idx))
       continue;
     const Instruction &I = Code[Idx];
     if (UD[Idx].HasSideEffects || I.PredReg != NoPred)

@@ -7,6 +7,7 @@
 #include "xopt/Peephole.h"
 
 #include "xopt/Cfg.h"
+#include "xopt/Range.h"
 
 #include <algorithm>
 
@@ -15,10 +16,6 @@ using namespace exochi::isa;
 using namespace exochi::xopt;
 
 namespace {
-
-bool isIntType(ElemType Ty) {
-  return Ty == ElemType::I8 || Ty == ElemType::I16 || Ty == ElemType::I32;
-}
 
 /// Power-of-two check returning the exponent.
 bool isPow2(int32_t V, unsigned &Shift) {

@@ -5,21 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The integer interval domain used by the XVerify pass (xopt/Verify.h).
-/// A Range is a closed interval [Lo, Hi] of int64_t values where the
-/// extreme representable values act as -inf/+inf sentinels; every
-/// operation saturates toward the sentinels, so an overflowing computation
+/// The integer interval domain of the xopt value analysis
+/// (xopt/Values.h), which XVerify and XCost both read. A Range is a
+/// closed interval [Lo, Hi] of int64_t values where the extreme
+/// representable values act as -inf/+inf sentinels; every operation
+/// saturates toward the sentinels, so an overflowing computation
 /// degrades to "unbounded" instead of wrapping. All operations are sound
 /// over-approximations of the corresponding concrete integer operation.
 ///
 /// Register values on the device are 32-bit (narrower types stored
-/// sign-extended), so clampToType() is applied after every integer ALU
-/// transfer to model the architectural truncation.
+/// sign-extended). typeRange() gives the values a register can hold
+/// after a write of each integer type; the value analysis widens any
+/// integer result that escapes it to the whole range, which models the
+/// architectural truncation.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EXOCHI_XOPT_RANGE_H
 #define EXOCHI_XOPT_RANGE_H
+
+#include "isa/Isa.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -153,6 +158,25 @@ struct Range {
     return {Shift(A.Lo), Shift(A.Hi)};
   }
 };
+
+/// True for the integer element types (b, w, dw).
+inline bool isIntType(isa::ElemType Ty) {
+  return Ty == isa::ElemType::I8 || Ty == isa::ElemType::I16 ||
+         Ty == isa::ElemType::I32;
+}
+
+/// The values a register written with integer type \p Ty can hold
+/// (int32 for every non-narrow type: registers are 32 bits wide).
+inline Range typeRange(isa::ElemType Ty) {
+  switch (Ty) {
+  case isa::ElemType::I8:
+    return Range::of(-128, 127);
+  case isa::ElemType::I16:
+    return Range::of(-32768, 32767);
+  default:
+    return Range::of(INT32_MIN, INT32_MAX);
+  }
+}
 
 } // namespace xopt
 } // namespace exochi

@@ -4,25 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// XVerify implementation. Three cooperating analyses over one abstract
-// interpretation of the kernel (see Verify.h and DESIGN.md §10):
-//
-//  - The abstract domain per register is an interval (Range) plus an
-//    optional affine dependence on the shred id: when Affine is set the
-//    register's value is SidCoef * sid + b for some shred-invariant b in
-//    Base. The Opaque bit marks values derived from sources the verifier
-//    treats as partitioned-by-contract (scalar parameters, loaded data,
-//    wait results): their footprints never participate in race reports.
-//
-//  - A forward worklist fixpoint with widening computes the state at
-//    every reachable instruction; the check pass then evaluates divide,
-//    surface-bounds, sync-protocol, and race conditions on those states.
-//
-//  - Races are suppressed when an unpredicated Xmit after the first
-//    access and an unpredicated Wait before the second share a sync
-//    register (a register that is both xmitted and waited on somewhere
-//    in the kernel) in either orientation — the static shadow of the
-//    paper's producer/consumer protocol in Figure 8.
+// XVerify's checks (see Verify.h and DESIGN.md §10) over the Cfg and the
+// states of the shared value analysis (xopt/Values.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,9 +13,9 @@
 
 #include "support/Format.h"
 #include "xopt/Cfg.h"
+#include "xopt/Values.h"
 
 #include <bitset>
-#include <deque>
 
 using namespace exochi;
 using namespace exochi::isa;
@@ -40,506 +23,16 @@ using namespace exochi::xopt;
 
 namespace {
 
-Range typeRange(ElemType Ty) {
-  switch (Ty) {
-  case ElemType::I8:
-    return Range::of(-128, 127);
-  case ElemType::I16:
-    return Range::of(-32768, 32767);
-  default:
-    return Range::of(INT32_MIN, INT32_MAX);
-  }
-}
-
-bool isIntType(ElemType Ty) {
-  return Ty == ElemType::I8 || Ty == ElemType::I16 || Ty == ElemType::I32;
-}
-
-/// The abstract value of one register.
-struct AbsVal {
-  Range Val = Range::full(); ///< possible concrete values
-  Range Base = Range::full(); ///< base interval when Affine
-  int64_t SidCoef = 0;
-  /// value == SidCoef * sid + b for a shred-invariant b in Base.
-  bool Affine = false;
-  /// Derived from a partitioned-by-contract source; see file comment.
-  bool Opaque = false;
-
-  static AbsVal top() { return AbsVal(); }
-  static AbsVal opaque() {
-    AbsVal V;
-    V.Opaque = true;
-    return V;
-  }
-  static AbsVal constant(int64_t C) {
-    AbsVal V;
-    V.Val = V.Base = Range::point(C);
-    V.Affine = true;
-    return V;
-  }
-
-  bool operator==(const AbsVal &O) const {
-    return Val == O.Val && Base == O.Base && SidCoef == O.SidCoef &&
-           Affine == O.Affine && Opaque == O.Opaque;
-  }
-  bool operator!=(const AbsVal &O) const { return !(*this == O); }
-};
-
-AbsVal joinVal(const AbsVal &A, const AbsVal &B) {
-  AbsVal R;
-  R.Val = Range::hull(A.Val, B.Val);
-  R.Opaque = A.Opaque || B.Opaque;
-  if (A.Affine && B.Affine && A.SidCoef == B.SidCoef && !R.Opaque) {
-    R.Affine = true;
-    R.SidCoef = A.SidCoef;
-    R.Base = Range::hull(A.Base, B.Base);
-  }
-  return R;
-}
-
-AbsVal widenVal(const AbsVal &Prev, const AbsVal &Next) {
-  AbsVal R = Next;
-  R.Val = Next.Val.widenedFrom(Prev.Val);
-  if (R.Affine)
-    R.Base = Next.Base.widenedFrom(Prev.Base);
-  return R;
-}
-
-using State = std::vector<AbsVal>; // one AbsVal per vector register
-
-/// Adds two affine coefficients, dropping to "huge" (caller must drop
-/// affinity) on int64 overflow. Coefficients come from small constants,
-/// so overflow means the kernel is doing something degenerate.
-bool coefAdd(int64_t A, int64_t B, int64_t &Out) {
-  __int128 S = static_cast<__int128>(A) + B;
-  if (S < INT64_MIN || S > INT64_MAX)
-    return false;
-  Out = static_cast<int64_t>(S);
-  return true;
-}
-
-bool coefMul(int64_t A, int64_t B, int64_t &Out) {
-  __int128 S = static_cast<__int128>(A) * B;
-  if (S < INT64_MIN || S > INT64_MAX)
-    return false;
-  Out = static_cast<int64_t>(S);
-  return true;
-}
-
-AbsVal addVals(const AbsVal &A, const AbsVal &B) {
-  AbsVal R;
-  R.Val = Range::add(A.Val, B.Val);
-  R.Opaque = A.Opaque || B.Opaque;
-  int64_t C;
-  if (A.Affine && B.Affine && !R.Opaque && coefAdd(A.SidCoef, B.SidCoef, C)) {
-    R.Affine = true;
-    R.SidCoef = C;
-    R.Base = Range::add(A.Base, B.Base);
-  }
-  return R;
-}
-
-AbsVal subVals(const AbsVal &A, const AbsVal &B) {
-  AbsVal R;
-  R.Val = Range::sub(A.Val, B.Val);
-  R.Opaque = A.Opaque || B.Opaque;
-  int64_t C;
-  if (A.Affine && B.Affine && !R.Opaque && coefAdd(A.SidCoef, -B.SidCoef, C)) {
-    R.Affine = true;
-    R.SidCoef = C;
-    R.Base = Range::sub(A.Base, B.Base);
-  }
-  return R;
-}
-
-AbsVal mulVals(const AbsVal &A, const AbsVal &B) {
-  AbsVal R;
-  R.Val = Range::mul(A.Val, B.Val);
-  R.Opaque = A.Opaque || B.Opaque;
-  if (R.Opaque || !A.Affine || !B.Affine)
-    return R;
-  // constant * affine (either order) stays affine.
-  const AbsVal *K = nullptr, *X = nullptr;
-  if (A.SidCoef == 0 && A.Base.isPoint()) {
-    K = &A;
-    X = &B;
-  } else if (B.SidCoef == 0 && B.Base.isPoint()) {
-    K = &B;
-    X = &A;
-  } else {
-    return R;
-  }
-  int64_t C;
-  if (!coefMul(K->Base.Lo, X->SidCoef, C))
-    return R;
-  R.Affine = true;
-  R.SidCoef = C;
-  R.Base = Range::mul(Range::point(K->Base.Lo), X->Base);
-  return R;
-}
-
-/// The engine driving the fixpoint and the checks.
+/// The engine running the checks over one kernel's value states.
 struct Verifier {
   const std::vector<Instruction> &Code;
   const VerifySpec &Spec;
+  const Cfg Graph;
+  const KernelValues Values;
   LintReport Report;
 
-  std::vector<State> In;        // abstract state at entry of each instr
-  std::vector<bool> Seen;       // instr visited by the fixpoint
-  std::vector<unsigned> Joins;  // join count, drives widening
-  static constexpr unsigned WidenAfter = 24;
-
   Verifier(const std::vector<Instruction> &Code, const VerifySpec &Spec)
-      : Code(Code), Spec(Spec) {}
-
-  //===--------------------------------------------------------------------===
-  // Abstract transfer
-  //===--------------------------------------------------------------------===
-
-  /// Reads operand \p O for lane \p Lane as a 32-bit integer value.
-  AbsVal readInt(const Operand &O, unsigned Lane, const State &S) const {
-    if (O.Kind == OperandKind::Imm)
-      return AbsVal::constant(O.Imm);
-    if (!O.isReg())
-      return AbsVal::top();
-    unsigned R = O.regCount() <= 1
-                     ? O.Reg0
-                     : std::min<unsigned>(O.Reg0 + Lane, O.Reg1);
-    AbsVal V = S[R];
-    // The device reads registers as int32 (ReadIntLane), so the observed
-    // value always lies in the int32 range regardless of producer.
-    Range I32 = typeRange(ElemType::I32);
-    if (!V.Val.within(I32)) {
-      V.Val = I32;
-      V.Affine = false;
-    }
-    return V;
-  }
-
-  /// The scalar value of an index operand (device ScalarVal: Reg0).
-  AbsVal readScalar(const Operand &O, const State &S) const {
-    if (O.Kind == OperandKind::Imm)
-      return AbsVal::constant(O.Imm);
-    if (!O.isReg())
-      return AbsVal::top();
-    AbsVal V = S[O.Reg0];
-    Range I32 = typeRange(ElemType::I32);
-    if (!V.Val.within(I32)) {
-      V.Val = I32;
-      V.Affine = false;
-    }
-    return V;
-  }
-
-  /// The sid-seeded abstract value produced by the Sid opcode.
-  AbsVal sidVal() const {
-    AbsVal V;
-    V.Val = Range::of(Spec.SidLo, Spec.SidHi);
-    V.Base = Range::point(0);
-    V.SidCoef = 1;
-    V.Affine = true;
-    return V;
-  }
-
-  /// One integer ALU lane (the default switch arm of the device model).
-  AbsVal evalIntLane(const Instruction &I, unsigned Lane,
-                     const State &S) const {
-    AbsVal A = readInt(I.Src0, Lane, S);
-    AbsVal B = I.Src1.Kind == OperandKind::None
-                   ? AbsVal::constant(0)
-                   : readInt(I.Src1, Lane, S);
-    AbsVal R;
-    R.Opaque = A.Opaque || B.Opaque;
-
-    switch (I.Op) {
-    case Opcode::Mov:
-      R = A;
-      break;
-    case Opcode::Add:
-      R = addVals(A, B);
-      break;
-    case Opcode::Sub:
-      R = subVals(A, B);
-      break;
-    case Opcode::Mul:
-      R = mulVals(A, B);
-      break;
-    case Opcode::Mac: {
-      AbsVal D = readInt(I.Dst, Lane, S);
-      R = addVals(D, mulVals(A, B));
-      break;
-    }
-    case Opcode::Div:
-      if (B.Val.Lo >= 1 && A.Val.isBounded() && B.Val.isBounded()) {
-        int64_t C[4] = {A.Val.Lo / B.Val.Lo, A.Val.Lo / B.Val.Hi,
-                        A.Val.Hi / B.Val.Lo, A.Val.Hi / B.Val.Hi};
-        R.Val = Range::of(*std::min_element(C, C + 4),
-                          *std::max_element(C, C + 4));
-      } else if (B.Val.Lo >= 1 && A.Val.Lo >= 0) {
-        R.Val = Range::of(0, A.Val.Hi);
-      }
-      break;
-    case Opcode::Min:
-      R.Val = Range::min(A.Val, B.Val);
-      if (A.Affine && B.Affine && A.SidCoef == B.SidCoef && !R.Opaque) {
-        R.Affine = true;
-        R.SidCoef = A.SidCoef;
-        R.Base = Range::min(A.Base, B.Base);
-      }
-      break;
-    case Opcode::Max:
-      R.Val = Range::max(A.Val, B.Val);
-      if (A.Affine && B.Affine && A.SidCoef == B.SidCoef && !R.Opaque) {
-        R.Affine = true;
-        R.SidCoef = A.SidCoef;
-        R.Base = Range::max(A.Base, B.Base);
-      }
-      break;
-    case Opcode::Avg:
-      R.Val = Range::avg(A.Val, B.Val);
-      break;
-    case Opcode::Abs:
-      R.Val = Range::abs(A.Val);
-      if (A.Affine && A.SidCoef == 0 && !R.Opaque) {
-        R.Affine = true;
-        R.Base = Range::abs(A.Base);
-      }
-      break;
-    case Opcode::Shl:
-      if (B.Val.isPoint()) {
-        unsigned Sh = static_cast<unsigned>(B.Val.Lo & 31);
-        R.Val = Range::shlConst(A.Val, Sh);
-        int64_t C;
-        if (A.Affine && !R.Opaque &&
-            coefMul(A.SidCoef, int64_t(1) << Sh, C)) {
-          R.Affine = true;
-          R.SidCoef = C;
-          R.Base = Range::shlConst(A.Base, Sh);
-        }
-      }
-      break;
-    case Opcode::Shr:
-      if (B.Val.isPoint()) {
-        unsigned Sh = static_cast<unsigned>(B.Val.Lo & 31);
-        if (Sh == 0 && A.Val.Lo >= 0)
-          R = A; // uint32 reinterpretation is the identity here
-        else if (A.Val.Lo >= 0)
-          R.Val = Range::asrConst(A.Val, Sh);
-        else if (Sh >= 1)
-          R.Val = Range::of(0, (int64_t(1) << (32 - Sh)) - 1);
-      }
-      break;
-    case Opcode::Asr:
-      if (B.Val.isPoint()) {
-        unsigned Sh = static_cast<unsigned>(B.Val.Lo & 31);
-        if (Sh == 0)
-          R = A;
-        else
-          R.Val = Range::asrConst(A.Val, Sh);
-      }
-      break;
-    case Opcode::And:
-      if (B.Val.isPoint() && B.Val.Lo >= 0)
-        R.Val = Range::of(0, A.Val.Lo >= 0 ? std::min(A.Val.Hi, B.Val.Lo)
-                                           : B.Val.Lo);
-      else if (A.Val.isPoint() && A.Val.Lo >= 0)
-        R.Val = Range::of(0, B.Val.Lo >= 0 ? std::min(B.Val.Hi, A.Val.Lo)
-                                           : A.Val.Lo);
-      else if (A.Val.Lo >= 0 && B.Val.Lo >= 0)
-        R.Val = Range::of(0, std::min(A.Val.Hi, B.Val.Hi));
-      break;
-    case Opcode::Or:
-    case Opcode::Xor:
-      if (A.Val.Lo >= 0 && B.Val.Lo >= 0 && A.Val.isBounded() &&
-          B.Val.isBounded()) {
-        int64_t M = std::max(A.Val.Hi, B.Val.Hi);
-        int64_t Mask = 1;
-        while (Mask <= M && Mask < (int64_t(1) << 32))
-          Mask <<= 1;
-        R.Val = Range::of(0, Mask - 1);
-      }
-      break;
-    case Opcode::Not:
-      // ~a == -a - 1 exactly.
-      R.Val = Range::sub(Range::neg(A.Val), Range::point(1));
-      if (A.Affine && !R.Opaque) {
-        R.Affine = true;
-        R.SidCoef = -A.SidCoef;
-        R.Base = Range::sub(Range::neg(A.Base), Range::point(1));
-      }
-      break;
-    default:
-      break; // unknown: full range
-    }
-
-    // Architectural truncation: results are stored sign-extended to the
-    // instruction type; a range escaping the type wraps and loses both
-    // precision and affinity.
-    Range TR = typeRange(I.Ty);
-    if (!R.Val.within(TR)) {
-      R.Val = TR;
-      R.Affine = false;
-    }
-    return R;
-  }
-
-  /// Applies instruction \p I to state \p S in place.
-  void transfer(const Instruction &I, State &S) const {
-    bool Partial = I.PredReg != NoPred && I.Op != Opcode::Sel;
-    auto writeLane = [&](unsigned Lane, AbsVal V) {
-      if (!I.Dst.isReg())
-        return;
-      unsigned R = I.Dst.regCount() <= 1
-                       ? I.Dst.Reg0
-                       : std::min<unsigned>(I.Dst.Reg0 + Lane, I.Dst.Reg1);
-      S[R] = Partial ? joinVal(S[R], V) : V;
-    };
-
-    switch (I.Op) {
-    case Opcode::Halt:
-    case Opcode::Nop:
-    case Opcode::Jmp:
-    case Opcode::Br:
-    case Opcode::Cmp: // predicates are not tracked
-    case Opcode::St:
-    case Opcode::StBlk:
-    case Opcode::Xmit:
-    case Opcode::Spawn:
-      return;
-
-    case Opcode::Sid:
-      // The device writes Dst.Reg0 unconditionally (no predication).
-      S[I.Dst.Reg0] = sidVal();
-      return;
-
-    case Opcode::Wait:
-      // The waited register holds a value transmitted by another shred.
-      S[I.Dst.Reg0] = AbsVal::opaque();
-      return;
-
-    case Opcode::Ld:
-    case Opcode::LdBlk:
-    case Opcode::Sample:
-      for (unsigned L = 0; L < I.Width; ++L)
-        writeLane(L, AbsVal::opaque());
-      return;
-
-    case Opcode::Sel:
-      for (unsigned L = 0; L < I.Width; ++L) {
-        if (!isIntType(I.Ty)) {
-          AbsVal V = AbsVal::top();
-          V.Opaque = readInt(I.Src0, L, S).Opaque ||
-                     readInt(I.Src1, L, S).Opaque;
-          writeLane(L, V);
-          continue;
-        }
-        writeLane(L, joinVal(readInt(I.Src0, L, S), readInt(I.Src1, L, S)));
-      }
-      return;
-
-    case Opcode::Cvt:
-      for (unsigned L = 0; L < I.Width; ++L) {
-        if (!isIntType(I.Ty) || !isIntType(I.SrcTy)) {
-          AbsVal V = AbsVal::top();
-          if (I.Src0.isReg())
-            V.Opaque = S[I.Src0.regCount() <= 1
-                             ? I.Src0.Reg0
-                             : std::min<unsigned>(I.Src0.Reg0 + L,
-                                                  I.Src0.Reg1)]
-                           .Opaque;
-          if (isIntType(I.Ty))
-            V.Val = typeRange(I.Ty);
-          writeLane(L, V);
-          continue;
-        }
-        // Integer Cvt saturates to the destination type.
-        AbsVal A = readInt(I.Src0, L, S);
-        Range TR = typeRange(I.Ty);
-        AbsVal R = A;
-        if (!A.Val.within(TR)) {
-          auto Clamp = [&TR](int64_t V) {
-            return std::min(std::max(V, TR.Lo), TR.Hi);
-          };
-          R.Val = Range::of(Clamp(A.Val.Lo), Clamp(A.Val.Hi));
-          R.Affine = false;
-        }
-        writeLane(L, R);
-      }
-      return;
-
-    default:
-      // ALU ops.
-      for (unsigned L = 0; L < I.Width; ++L) {
-        if (!isIntType(I.Ty)) {
-          AbsVal V = AbsVal::top();
-          V.Opaque = readInt(I.Src0, L, S).Opaque ||
-                     (I.Src1.Kind != OperandKind::None &&
-                      readInt(I.Src1, L, S).Opaque);
-          writeLane(L, V);
-          continue;
-        }
-        writeLane(L, evalIntLane(I, L, S));
-      }
-      return;
-    }
-  }
-
-  //===--------------------------------------------------------------------===
-  // Fixpoint
-  //===--------------------------------------------------------------------===
-
-  void runFixpoint() {
-    In.assign(Code.size(), State());
-    Seen.assign(Code.size(), false);
-    Joins.assign(Code.size(), 0);
-
-    State Entry(NumVRegs, AbsVal::opaque());
-    for (unsigned P = 0; P < Spec.NumScalarParams && P < NumVRegs; ++P) {
-      AbsVal V = AbsVal::opaque();
-      auto It = Spec.ParamRanges.find(P);
-      if (It != Spec.ParamRanges.end())
-        V.Val = It->second;
-      Entry[P] = V;
-    }
-
-    if (Code.empty())
-      return;
-    In[0] = std::move(Entry);
-    Seen[0] = true;
-    std::deque<uint32_t> Work{0};
-    while (!Work.empty()) {
-      uint32_t Idx = Work.front();
-      Work.pop_front();
-      State Out = In[Idx];
-      transfer(Code[Idx], Out);
-      for (uint32_t Succ : successors(Code, Idx)) {
-        if (Succ >= Code.size())
-          continue; // fall-off = halt
-        if (!Seen[Succ]) {
-          In[Succ] = Out;
-          Seen[Succ] = true;
-          Work.push_back(Succ);
-          continue;
-        }
-        State Joined = In[Succ];
-        bool Changed = false;
-        for (unsigned R = 0; R < NumVRegs; ++R) {
-          AbsVal J = joinVal(Joined[R], Out[R]);
-          if (Joins[Succ] > WidenAfter)
-            J = widenVal(Joined[R], J);
-          if (J != Joined[R]) {
-            Joined[R] = J;
-            Changed = true;
-          }
-        }
-        if (Changed) {
-          ++Joins[Succ];
-          In[Succ] = std::move(Joined);
-          Work.push_back(Succ);
-        }
-      }
-    }
-  }
+      : Code(Code), Spec(Spec), Graph(Code), Values(Code, Graph, Spec) {}
 
   //===--------------------------------------------------------------------===
   // Divide and surface checks
@@ -551,7 +44,7 @@ struct Verifier {
       return; // float divide yields IEEE inf/nan, no fault
     bool Definite = false, Possible = false, Soft = false;
     for (unsigned L = 0; L < I.Width; ++L) {
-      AbsVal B = readInt(I.Src1, L, In[Idx]);
+      AbsVal B = readLane(I.Src1, L, Values.in(Idx));
       if (!B.Val.containsZero())
         continue;
       if (B.Val.isPoint())
@@ -658,7 +151,7 @@ struct Verifier {
     if (It != Spec.Surfaces.end())
       G = It->second;
 
-    const State &S = In[Idx];
+    const AbsState &S = Values.in(Idx);
     if (I.Op == Opcode::Ld || I.Op == Opcode::St) {
       AbsVal First = addVals(readScalar(I.Src1, S), readScalar(I.Src2, S));
       checkCoord(Idx, First, I.Width, G.totalElements(), "first element");
@@ -672,46 +165,10 @@ struct Verifier {
   // Sync protocol
   //===--------------------------------------------------------------------===
 
-  /// Instructions reachable from the entry without executing \p Skip.
-  std::vector<bool> reachableAvoiding(uint32_t Skip) const {
-    std::vector<bool> R(Code.size(), false);
-    if (Code.empty() || Skip == 0)
-      return R;
-    R[0] = true;
-    std::vector<uint32_t> Work{0};
-    while (!Work.empty()) {
-      uint32_t Idx = Work.back();
-      Work.pop_back();
-      for (uint32_t Succ : successors(Code, Idx)) {
-        if (Succ >= Code.size() || Succ == Skip || R[Succ])
-          continue;
-        R[Succ] = true;
-        Work.push_back(Succ);
-      }
-    }
-    return R;
-  }
-
-  /// True when a halt (explicit or fall-off) stays reachable without
-  /// executing \p Skip.
-  bool exitReachableAvoiding(uint32_t Skip) const {
-    std::vector<bool> R = reachableAvoiding(Skip);
-    for (uint32_t Idx = 0; Idx < Code.size(); ++Idx) {
-      if (!R[Idx])
-        continue;
-      if (Code[Idx].Op == Opcode::Halt)
-        return true;
-      for (uint32_t Succ : successors(Code, Idx))
-        if (Succ >= Code.size())
-          return true; // fall-off
-    }
-    return false;
-  }
-
   void checkSync() {
     std::bitset<NumVRegs> XmitRegs, WaitRegs;
     for (uint32_t Idx = 0; Idx < Code.size(); ++Idx) {
-      if (!Seen[Idx])
+      if (!Graph.reachable(Idx))
         continue;
       if (Code[Idx].Op == Opcode::Xmit)
         XmitRegs.set(Code[Idx].Dst.Reg0);
@@ -720,7 +177,7 @@ struct Verifier {
     }
 
     for (uint32_t Idx = 0; Idx < Code.size(); ++Idx) {
-      if (!Seen[Idx])
+      if (!Graph.reachable(Idx))
         continue;
       const Instruction &I = Code[Idx];
 
@@ -735,7 +192,7 @@ struct Verifier {
         } else if (I.PredReg == NoPred) {
           // Self-wait cycle: every matching xmit is behind this wait, so
           // no shred of this kernel can ever perform the signalling xmit.
-          std::vector<bool> Reach = reachableAvoiding(Idx);
+          std::vector<bool> Reach = Graph.reachableAvoiding(Idx);
           bool XmitAhead = false;
           for (uint32_t J = 0; J < Code.size() && !XmitAhead; ++J)
             XmitAhead = Reach[J] && Code[J].Op == Opcode::Xmit &&
@@ -751,7 +208,7 @@ struct Verifier {
       }
 
       if (I.Op == Opcode::Xmit) {
-        AbsVal T = readScalar(I.Src0, In[Idx]);
+        AbsVal T = readScalar(I.Src0, Values.in(Idx));
         if (T.Val.Hi < Spec.SidLo) {
           Report.error(Idx, "xmit targets a shred id that is provably "
                             "invalid (ids are 1-based)");
@@ -769,7 +226,7 @@ struct Verifier {
       }
 
       if (I.Op == Opcode::Spawn && I.PredReg == NoPred &&
-          !exitReachableAvoiding(Idx)) {
+          !Graph.reachableAvoiding(Idx)[Graph.exit()]) {
         Report.error(Idx, "every path respawns the kernel unconditionally "
                           "(the shred tree never quiesces)");
       }
@@ -847,7 +304,7 @@ struct Verifier {
     // contract (per-shred parameters) and never race by assumption.
     std::vector<Footprint> Foot;
     for (uint32_t Idx = 0; Idx < Code.size(); ++Idx) {
-      if (!Seen[Idx])
+      if (!Graph.reachable(Idx))
         continue;
       const Instruction &I = Code[Idx];
       bool Is1D = I.Op == Opcode::Ld || I.Op == Opcode::St;
@@ -860,7 +317,7 @@ struct Verifier {
       F.Write = I.Op == Opcode::St || I.Op == Opcode::StBlk;
       F.TwoD = Is2D;
       F.Width = I.Width;
-      const State &S = In[Idx];
+      const AbsState &S = Values.in(Idx);
       if (Is1D) {
         F.A = addVals(readScalar(I.Src1, S), readScalar(I.Src2, S));
         if (F.A.Opaque)
@@ -885,7 +342,7 @@ struct Verifier {
     {
       RegSet X, W;
       for (uint32_t Idx = 0; Idx < Code.size(); ++Idx) {
-        if (!Seen[Idx])
+        if (!Graph.reachable(Idx))
           continue;
         if (Code[Idx].Op == Opcode::Xmit && Code[Idx].PredReg == NoPred)
           X.set(Code[Idx].Dst.Reg0);
@@ -908,15 +365,6 @@ struct Verifier {
         Gen[Idx].set(Code[Idx].Dst.Reg0);
     }
 
-    std::vector<std::vector<uint32_t>> Preds(Code.size());
-    for (uint32_t Idx = 0; Idx < Code.size(); ++Idx) {
-      if (!Seen[Idx])
-        continue;
-      for (uint32_t Succ : successors(Code, Idx))
-        if (Succ < Code.size())
-          Preds[Succ].push_back(Idx);
-    }
-
     // Forward must-pass for WaitBefore.
     for (uint32_t Idx = 0; Idx < Code.size(); ++Idx)
       WaitBefore[Idx] = Idx == 0 ? RegSet() : Universe;
@@ -924,13 +372,13 @@ struct Verifier {
     while (Changed) {
       Changed = false;
       for (uint32_t Idx = 1; Idx < Code.size(); ++Idx) {
-        if (!Seen[Idx])
+        if (!Graph.reachable(Idx))
           continue;
         RegSet Meet = Universe;
-        for (uint32_t P : Preds[Idx])
-          if (Seen[P] && Code[P].Op == Opcode::Wait)
+        for (uint32_t P : Graph.preds(Idx))
+          if (Code[P].Op == Opcode::Wait)
             Meet &= WaitBefore[P] | Gen[P];
-          else if (Seen[P])
+          else
             Meet &= WaitBefore[P];
         if (Meet != WaitBefore[Idx]) {
           WaitBefore[Idx] = Meet;
@@ -946,15 +394,12 @@ struct Verifier {
     while (Changed) {
       Changed = false;
       for (uint32_t Idx = static_cast<uint32_t>(Code.size()); Idx-- > 0;) {
-        if (!Seen[Idx])
+        if (!Graph.reachable(Idx))
           continue;
         RegSet Meet = Universe;
-        std::vector<uint32_t> Succs = successors(Code, Idx);
-        if (Succs.empty())
-          Meet.reset(); // halt: no xmit follows
-        for (uint32_t Succ : Succs) {
-          if (Succ >= Code.size()) {
-            Meet.reset(); // fall-off: no xmit follows
+        for (uint32_t Succ : Graph.succs(Idx)) {
+          if (Succ == Graph.exit()) {
+            Meet.reset(); // halt or fall-off: no xmit follows
             continue;
           }
           if (Code[Succ].Op == Opcode::Xmit)
@@ -1020,9 +465,8 @@ struct Verifier {
   //===--------------------------------------------------------------------===
 
   void run() {
-    runFixpoint();
     for (uint32_t Idx = 0; Idx < Code.size(); ++Idx) {
-      if (!Seen[Idx])
+      if (!Graph.reachable(Idx))
         continue;
       switch (Code[Idx].Op) {
       case Opcode::Div:

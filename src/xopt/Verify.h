@@ -10,13 +10,14 @@
 /// checks the properties EXOCHI's programming model leaves to the kernel
 /// author:
 ///
-///  1. Value-range analysis. Every register is tracked as an interval
-///     (xopt/Range.h) plus an optional affine dependence on the shred id
-///     (`value = SidCoef * sid + base`). Surface accesses are checked
-///     against the bound descriptors: provable out-of-bounds accesses are
-///     errors, bounded possible violations are warnings. Integer divides
-///     whose divisor interval is exactly {0} are errors; bounded divisor
-///     intervals containing 0 warn (the CEH fault path).
+///  1. Value-range checks. The shared value analysis (xopt/Values.h)
+///     tracks every register as an interval plus an optional affine
+///     dependence on the shred id (`value = SidCoef * sid + base`).
+///     Surface accesses are checked against the bound descriptors:
+///     provable out-of-bounds accesses are errors, bounded possible
+///     violations are warnings. Integer divides whose divisor interval is
+///     exactly {0} are errors; bounded divisor intervals containing 0
+///     warn (the CEH fault path).
 ///
 ///  2. Inter-shred race detection. Each store/load footprint on a surface
 ///     is summarized symbolically in the shred id. Two accesses from
