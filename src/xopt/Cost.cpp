@@ -148,6 +148,9 @@ private:
       Lo = 0;
       Hi = Range::PosInf;
     }
+    // A shred entering an exitless loop never retires (see collapseLoop).
+    if (Trapped)
+      Hi = Range::PosInf;
     R.ShredHalfCycles = Range::of(std::max<int64_t>(Lo, 0), Hi);
   }
 
@@ -279,7 +282,10 @@ private:
     if (ExitTargets.empty()) {
       // No way out: a shred entering the loop never retires. The header
       // keeps the one-iteration lower weight and no successors; paths
-      // through it simply never reach the exit node.
+      // through it simply never reach the exit node. A reachable node that
+      // cannot reach the exit always leads into such a loop (in a reducible
+      // graph its terminal cycle is a natural loop without exit edges).
+      Trapped = true;
       WLo = IterLo == Range::PosInf ? Weight[H].Lo : IterLo;
     } else {
       int64_t FullLo =
@@ -633,6 +639,8 @@ private:
   // Collapsed-graph state.
   std::vector<bool> Alive;
   std::vector<bool> LoopNode;
+  /// Some reachable loop has no exit edge.
+  bool Trapped = false;
   std::vector<Range> Weight;
   std::vector<std::set<uint32_t>> CurSuccs;
 };

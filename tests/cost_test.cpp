@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace exochi;
 using namespace exochi::xopt;
 
@@ -252,6 +254,20 @@ TEST(CostStructureTest, SelfSpinIsUnboundedButReducible) {
   EXPECT_EQ(R.Loops[0].BodySize, 1u); // single-node self-loop
   EXPECT_FALSE(R.Loops[0].bounded());
   EXPECT_GE(R.Diags.count(Severity::Warning), 1u);
+}
+
+TEST(CostStructureTest, SpinWithoutExitOnOnePathIsUnbounded) {
+  // The halting path costs 3 cycles, but a shred taking the branch spins
+  // forever: the maximum must not stay finite.
+  CostReport R = analyze("  cmp.eq.1.dw p1 = vr0, 0\n"
+                         "  br p1, spin\n"
+                         "  halt\n"
+                         "spin:\n"
+                         "  jmp spin\n");
+  EXPECT_TRUE(R.Reducible);
+  EXPECT_FALSE(R.bounded());
+  EXPECT_EQ(R.maxCycles(), std::numeric_limits<double>::infinity());
+  EXPECT_DOUBLE_EQ(R.minCycles(), 3.0);
 }
 
 TEST(CostStructureTest, IrreducibleGraphIsDetected) {
