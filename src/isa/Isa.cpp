@@ -9,6 +9,8 @@
 #include "support/Error.h"
 #include "support/Format.h"
 
+#include <cstring>
+
 using namespace exochi;
 using namespace exochi::isa;
 
@@ -134,7 +136,19 @@ const char *isa::cmpOpName(CmpOp C) {
   exochiUnreachable("bad CmpOp");
 }
 
-static std::string operandToString(const Operand &O) {
+/// Immediate type of \p I's operands (the assembler's literal-typing
+/// rule): addresses and xmit operands are integers, a conversion's source
+/// is typed by its source type, everything else by the instruction type.
+static ElemType immTypeOf(const Instruction &I) {
+  if (I.Op == Opcode::Ld || I.Op == Opcode::St || I.Op == Opcode::LdBlk ||
+      I.Op == Opcode::StBlk || I.Op == Opcode::Xmit)
+    return ElemType::I32;
+  return I.Op == Opcode::Cvt ? I.SrcTy : I.Ty;
+}
+
+static std::string
+operandText(const Operand &O, ElemType ImmTy,
+            const std::function<std::string(uint32_t)> &LabelName) {
   switch (O.Kind) {
   case OperandKind::None:
     return "<none>";
@@ -144,20 +158,37 @@ static std::string operandToString(const Operand &O) {
     return formatString("[vr%u..vr%u]", O.Reg0, O.Reg1);
   case OperandKind::Pred:
     return formatString("p%u", O.Reg0);
-  case OperandKind::Imm:
-    return formatString("%d", O.Imm);
+  case OperandKind::Imm: {
+    if (ImmTy != ElemType::F32 && ImmTy != ElemType::F64)
+      return formatString("%d", O.Imm);
+    // The assembler stores float literals as F32 bit patterns; print a
+    // literal that re-parses to the identical bits, marked as a float.
+    float F;
+    std::memcpy(&F, &O.Imm, 4);
+    std::string S = formatString("%.9g", static_cast<double>(F));
+    if (S.find_first_of(".ein") == std::string::npos)
+      S += ".0";
+    return S;
+  }
   case OperandKind::Surface:
     return formatString("surf%d", O.Imm);
   case OperandKind::Label:
-    return formatString("@%d", O.Imm);
+    return LabelName ? LabelName(static_cast<uint32_t>(O.Imm))
+                     : formatString("@%d", O.Imm);
   }
   exochiUnreachable("bad OperandKind");
 }
 
-std::string isa::disassemble(const Instruction &I) {
+std::string
+isa::disassemble(const Instruction &I,
+                 const std::function<std::string(uint32_t)> &LabelName) {
+  const ElemType ImmTy = immTypeOf(I);
+  auto Op = [&](const Operand &O) { return operandText(O, ImmTy, LabelName); };
+  std::string Pred = formatString("%sp%u", I.PredNegate ? "!" : "", I.PredReg);
+
   std::string Out;
   if (I.PredReg != NoPred && I.Op != Opcode::Sel && I.Op != Opcode::Br)
-    Out += formatString("(%sp%u) ", I.PredNegate ? "!" : "", I.PredReg);
+    Out += "(" + Pred + ") ";
 
   Out += opcodeName(I.Op);
   if (I.Op == Opcode::Cmp)
@@ -173,41 +204,36 @@ std::string isa::disassemble(const Instruction &I) {
   case Opcode::Nop:
     return Out;
   case Opcode::Jmp:
-    return Out + " " + operandToString(I.Src0);
-  case Opcode::Br:
-    return Out + formatString(" %sp%u, ", I.PredNegate ? "!" : "", I.PredReg) +
-           operandToString(I.Src0);
-  case Opcode::Wait:
-    return Out + " " + operandToString(I.Dst);
   case Opcode::Spawn:
-    return Out + " " + operandToString(I.Src0);
+    return Out + " " + Op(I.Src0);
+  case Opcode::Br:
+    return Out + " " + Pred + ", " + Op(I.Src0);
+  case Opcode::Sid:
+  case Opcode::Wait:
+    return Out + " " + Op(I.Dst);
   case Opcode::Ld:
   case Opcode::LdBlk:
   case Opcode::Sample:
-    return Out + " " + operandToString(I.Dst) + " = (" +
-           operandToString(I.Src0) + ", " + operandToString(I.Src1) + ", " +
-           operandToString(I.Src2) + ")";
+    return Out + " " + Op(I.Dst) + " = (" + Op(I.Src0) + ", " + Op(I.Src1) +
+           ", " + Op(I.Src2) + ")";
   case Opcode::St:
   case Opcode::StBlk:
-    return Out + " (" + operandToString(I.Src0) + ", " +
-           operandToString(I.Src1) + ", " + operandToString(I.Src2) +
-           ") = " + operandToString(I.Dst);
+    return Out + " (" + Op(I.Src0) + ", " + Op(I.Src1) + ", " + Op(I.Src2) +
+           ") = " + Op(I.Dst);
   case Opcode::Xmit:
-    return Out + " " + operandToString(I.Src0) + ", " +
-           operandToString(I.Dst) + " = " + operandToString(I.Src1);
+    return Out + " " + Op(I.Src0) + ", " + Op(I.Dst) + " = " + Op(I.Src1);
   case Opcode::Sel:
-    return Out + formatString(" %sp%u, ", I.PredNegate ? "!" : "", I.PredReg) +
-           operandToString(I.Dst) + " = " + operandToString(I.Src0) + ", " +
-           operandToString(I.Src1);
+    return Out + " " + Pred + ", " + Op(I.Dst) + " = " + Op(I.Src0) + ", " +
+           Op(I.Src1);
   default:
     break;
   }
 
-  Out += " " + operandToString(I.Dst) + " = " + operandToString(I.Src0);
+  Out += " " + Op(I.Dst) + " = " + Op(I.Src0);
   if (I.Src1.Kind != OperandKind::None)
-    Out += ", " + operandToString(I.Src1);
+    Out += ", " + Op(I.Src1);
   if (I.Src2.Kind != OperandKind::None)
-    Out += ", " + operandToString(I.Src2);
+    Out += ", " + Op(I.Src2);
   return Out;
 }
 

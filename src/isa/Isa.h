@@ -34,6 +34,7 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 namespace exochi {
@@ -227,8 +228,12 @@ struct Instruction {
   }
 };
 
-/// Renders \p I back to assembly text (labels appear as `@<index>`).
-std::string disassemble(const Instruction &I);
+/// Renders \p I as assembly text. Immediates print in the instruction's
+/// operand type, so a float literal re-assembles to the same bits. Label
+/// operands print as \p LabelName(target index), or `@<index>` without it.
+std::string
+disassemble(const Instruction &I,
+            const std::function<std::string(uint32_t)> &LabelName = {});
 
 /// Structural validity check (register ranges in bounds, operand widths
 /// consistent with the SIMD width, operand kinds legal for the opcode).

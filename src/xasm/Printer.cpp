@@ -6,63 +6,11 @@
 
 #include "xasm/Printer.h"
 
-#include "support/Error.h"
 #include "support/Format.h"
-
-#include <cstring>
 
 using namespace exochi;
 using namespace exochi::isa;
 using namespace exochi::xasm;
-
-namespace {
-
-/// Immediate type of source operands for \p I (mirrors the assembler's
-/// literal-typing rule).
-ElemType immTypeOf(const Instruction &I) {
-  if (I.Op == Opcode::Ld || I.Op == Opcode::St || I.Op == Opcode::LdBlk ||
-      I.Op == Opcode::StBlk)
-    return ElemType::I32;
-  return I.Op == Opcode::Cvt ? I.SrcTy : I.Ty;
-}
-
-std::string operandText(const Operand &O, ElemType ImmTy) {
-  switch (O.Kind) {
-  case OperandKind::None:
-    return "<none>";
-  case OperandKind::Reg:
-    return formatString("vr%u", O.Reg0);
-  case OperandKind::RegRange:
-    return formatString("[vr%u..vr%u]", O.Reg0, O.Reg1);
-  case OperandKind::Pred:
-    return formatString("p%u", O.Reg0);
-  case OperandKind::Imm: {
-    if (ImmTy == ElemType::F32 || ImmTy == ElemType::F64) {
-      // The assembler stores float literals as F32 bit patterns; print a
-      // literal that re-parses to the identical bits.
-      float F;
-      std::memcpy(&F, &O.Imm, 4);
-      std::string S = formatString("%.9g", static_cast<double>(F));
-      // Guarantee the literal is recognized as a float (contains . or e)
-      // and round-trips; fall back to explicit bits via integer otherwise.
-      if (S.find('.') == std::string::npos &&
-          S.find('e') == std::string::npos &&
-          S.find("inf") == std::string::npos &&
-          S.find("nan") == std::string::npos)
-        S += ".0";
-      return S;
-    }
-    return formatString("%d", O.Imm);
-  }
-  case OperandKind::Surface:
-    return formatString("surf%d", O.Imm);
-  case OperandKind::Label:
-    return formatString("@%d", O.Imm); // replaced by the caller
-  }
-  exochiUnreachable("bad OperandKind");
-}
-
-} // namespace
 
 std::string xasm::printKernel(const std::vector<Instruction> &Code,
                               const std::map<std::string, uint32_t> &Labels) {
@@ -79,85 +27,14 @@ std::string xasm::printKernel(const std::vector<Instruction> &Code,
         NameAt[T] = formatString("L%u", T);
     }
 
+  auto Name = [&](uint32_t Target) { return NameAt.at(Target); };
   std::string Out;
   for (uint32_t Idx = 0; Idx <= Code.size(); ++Idx) {
     if (auto It = NameAt.find(Idx); It != NameAt.end())
       Out += It->second + ":\n";
     if (Idx == Code.size())
       break;
-    const Instruction &I = Code[Idx];
-    ElemType ImmTy = immTypeOf(I);
-
-    std::string Line = "  ";
-    if (I.PredReg != NoPred && I.Op != Opcode::Sel && I.Op != Opcode::Br)
-      Line += formatString("(%sp%u) ", I.PredNegate ? "!" : "", I.PredReg);
-
-    Line += opcodeName(I.Op);
-    if (I.Op == Opcode::Cmp)
-      Line += formatString(".%s", cmpOpName(I.Cmp));
-    if (opcodeHasWidthType(I.Op)) {
-      Line += formatString(".%u.%s", I.Width, elemTypeName(I.Ty));
-      if (I.Op == Opcode::Cvt)
-        Line += formatString(".%s", elemTypeName(I.SrcTy));
-    }
-
-    auto Target = [&](const Operand &O) {
-      return NameAt.at(static_cast<uint32_t>(O.Imm));
-    };
-
-    switch (I.Op) {
-    case Opcode::Halt:
-    case Opcode::Nop:
-      break;
-    case Opcode::Jmp:
-      Line += " " + Target(I.Src0);
-      break;
-    case Opcode::Br:
-      Line += formatString(" %sp%u, ", I.PredNegate ? "!" : "", I.PredReg) +
-              Target(I.Src0);
-      break;
-    case Opcode::Sid:
-    case Opcode::Wait:
-      Line += " " + operandText(I.Dst, ImmTy);
-      break;
-    case Opcode::Spawn:
-      Line += " " + operandText(I.Src0, ImmTy);
-      break;
-    case Opcode::Xmit:
-      Line += " " + operandText(I.Src0, ElemType::I32) + ", " +
-              operandText(I.Dst, ImmTy) + " = " +
-              operandText(I.Src1, ElemType::I32);
-      break;
-    case Opcode::Ld:
-    case Opcode::LdBlk:
-    case Opcode::Sample:
-      Line += " " + operandText(I.Dst, ImmTy) + " = (" +
-              operandText(I.Src0, ImmTy) + ", " +
-              operandText(I.Src1, ImmTy) + ", " +
-              operandText(I.Src2, ImmTy) + ")";
-      break;
-    case Opcode::St:
-    case Opcode::StBlk:
-      Line += " (" + operandText(I.Src0, ImmTy) + ", " +
-              operandText(I.Src1, ImmTy) + ", " +
-              operandText(I.Src2, ImmTy) + ") = " +
-              operandText(I.Dst, ImmTy);
-      break;
-    case Opcode::Sel:
-      Line += formatString(" %sp%u, ", I.PredNegate ? "!" : "", I.PredReg) +
-              operandText(I.Dst, ImmTy) + " = " +
-              operandText(I.Src0, ImmTy) + ", " + operandText(I.Src1, ImmTy);
-      break;
-    default:
-      Line += " " + operandText(I.Dst, ImmTy) + " = " +
-              operandText(I.Src0, ImmTy);
-      if (I.Src1.Kind != OperandKind::None)
-        Line += ", " + operandText(I.Src1, ImmTy);
-      if (I.Src2.Kind != OperandKind::None)
-        Line += ", " + operandText(I.Src2, ImmTy);
-      break;
-    }
-    Out += Line + "\n";
+    Out += "  " + disassemble(Code[Idx], Name) + "\n";
   }
   return Out;
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 using namespace exochi;
 using namespace exochi::isa;
 
@@ -186,6 +188,34 @@ TEST(IsaDisasmTest, RoundTripsSyntax) {
   St.Src1 = Operand::reg(1);
   St.Src2 = Operand::imm(0);
   EXPECT_EQ(disassemble(St), "st.8.dw (surf2, vr1, 0) = [vr18..vr25]");
+}
+
+TEST(IsaDisasmTest, FloatImmediatePrintsAsAFloatLiteral) {
+  Instruction Mov;
+  Mov.Op = Opcode::Mov;
+  Mov.Ty = ElemType::F32;
+  Mov.Width = 1;
+  Mov.Dst = Operand::reg(3);
+  Mov.Src0 = Operand::imm(std::bit_cast<int32_t>(33.0f));
+  EXPECT_EQ(disassemble(Mov), "mov.1.f vr3 = 33.0");
+  Mov.Src0 = Operand::imm(std::bit_cast<int32_t>(-0.25f));
+  EXPECT_EQ(disassemble(Mov), "mov.1.f vr3 = -0.25");
+}
+
+TEST(IsaDisasmTest, SidNamesOnlyItsDestination) {
+  Instruction Sid;
+  Sid.Op = Opcode::Sid;
+  Sid.Dst = Operand::reg(3);
+  EXPECT_EQ(disassemble(Sid), "sid vr3");
+}
+
+TEST(IsaDisasmTest, LabelsPrintThroughTheNamer) {
+  Instruction Jmp;
+  Jmp.Op = Opcode::Jmp;
+  Jmp.Src0 = Operand::label(4);
+  EXPECT_EQ(disassemble(Jmp), "jmp @4");
+  auto Name = [](uint32_t T) { return "L" + std::to_string(T); };
+  EXPECT_EQ(disassemble(Jmp, Name), "jmp L4");
 }
 
 TEST(IsaDisasmTest, PredicationPrefix) {
