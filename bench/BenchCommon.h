@@ -19,6 +19,8 @@
 #include "chi/Runtime.h"
 #include "exo/ExoPlatform.h"
 #include "kernels/Workloads.h"
+#include "support/File.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cmath>
@@ -62,6 +64,13 @@ struct Percentiles {
   size_t Samples = 0;
   double P50 = 0, P95 = 0, P99 = 0;
   std::optional<double> P999;
+
+  static constexpr auto jsonFields() {
+    using S = Percentiles;
+    return json::fields(
+        "samples", &S::Samples, "p50", &S::P50, "p95", &S::P95, "p99", &S::P99,
+        "p999", &S::P999);
+  }
 };
 
 /// p50/p95/p99/p999 of \p Samples by linear interpolation between order
@@ -90,6 +99,25 @@ inline Percentiles latencyPercentiles(std::vector<double> Samples) {
   if (Beyond >= Percentiles::MinTailSamples)
     P.P999 = At(0.999);
   return P;
+}
+
+/// Writes {"bench": Name, <what Members writes>} to $EXOCHI_BENCH_JSON
+/// (default BENCH_<Name>.json), one member and one array row per line.
+/// Prints the path; false when the file cannot be written.
+template <typename Fn> bool writeBenchJson(const char *Name, Fn &&Members) {
+  std::string Path = "BENCH_" + std::string(Name) + ".json";
+  if (const char *Env = std::getenv("EXOCHI_BENCH_JSON"); Env && *Env)
+    Path = Env;
+  json::Writer W({.LineDepth = 2});
+  W.beginObject().member("bench", Name);
+  Members(W);
+  std::string Json = W.endObject().take() + "\n";
+  if (Error E = writeFileBytes(Path, {Json.begin(), Json.end()})) {
+    std::fprintf(stderr, "bench_%s: %s\n", Name, E.message().c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", Path.c_str());
+  return true;
 }
 
 /// A workload wired to a fresh platform/runtime pair.

@@ -23,6 +23,7 @@
 #include "BenchCommon.h"
 #include "cluster/Cluster.h"
 #include "serve/Server.h"
+#include "support/Format.h"
 
 #include <string>
 #include <vector>
@@ -122,6 +123,16 @@ struct Result {
   uint64_t StolenShreds = 0;
   uint64_t HostShreds = 0;
   uint64_t Hash = 0;
+  double SpeedupVs1Dev = 0; ///< jobs/sim-sec over 1 device with stealing
+
+  static constexpr auto jsonFields() {
+    using S = Result;
+    return json::fields(
+        "devices", &S::Devices, "steal", &S::Steal, "sim_ms", &S::SimMs,
+        "jobs_per_sim_sec", &S::JobsPerSimSec,
+        "stolen_shreds", &S::StolenShreds, "host_shreds", &S::HostShreds,
+        "speedup_vs_1dev", &S::SpeedupVs1Dev);
+  }
 };
 
 } // namespace
@@ -160,7 +171,7 @@ int main() {
       Res.Steal = Steal;
       Res.SimMs = R.RT.now() * 1e-6;
       Res.JobsPerSimSec = Jobs / (R.RT.now() * 1e-9);
-      for (const serve::ShardRow &Row : Srv.stats().Shards) {
+      for (const chi::ShardStat &Row : Srv.stats().Shards) {
         Res.StolenShreds += Row.Stolen;
         if (Row.HostLane)
           Res.HostShreds += Row.Shreds;
@@ -190,6 +201,8 @@ int main() {
   for (const Result &R : Results)
     if (R.Devices == 1 && R.Steal)
       Base = R.JobsPerSimSec;
+  for (Result &R : Results)
+    R.SpeedupVs1Dev = R.JobsPerSimSec / Base;
 
   std::printf("=== ExoCluster scaling (strip vecadd, %u shreds/job, %u jobs, "
               "simulated time) ===\n",
@@ -201,37 +214,18 @@ int main() {
                 R.Steal ? "on" : "off", R.SimMs, R.JobsPerSimSec,
                 static_cast<unsigned long long>(R.StolenShreds),
                 static_cast<unsigned long long>(R.HostShreds),
-                R.JobsPerSimSec / Base);
+                R.SpeedupVs1Dev);
   std::printf("output hash: %016llx (bit-identical across all configs)\n",
               static_cast<unsigned long long>(Results.front().Hash));
 
-  const char *JsonPath = std::getenv("EXOCHI_BENCH_JSON");
-  if (!JsonPath || !*JsonPath)
-    JsonPath = "BENCH_cluster.json";
-  FILE *F = std::fopen(JsonPath, "w");
-  if (!F) {
-    std::fprintf(stderr, "bench_cluster: cannot write %s\n", JsonPath);
-    return 1;
-  }
-  std::fprintf(F,
-               "{\n  \"bench\": \"cluster\",\n  \"scale\": %g,\n"
-               "  \"jobs\": %u,\n  \"shreds_per_job\": %u,\n"
-               "  \"output_hash\": \"%016llx\",\n  \"configs\": [\n",
-               Scale, Jobs, Shreds,
-               static_cast<unsigned long long>(Results.front().Hash));
-  for (size_t K = 0; K < Results.size(); ++K)
-    std::fprintf(F,
-                 "    {\"devices\": %u, \"steal\": %s, \"sim_ms\": %.4f, "
-                 "\"jobs_per_sim_sec\": %.1f, \"stolen_shreds\": %llu, "
-                 "\"host_shreds\": %llu, \"speedup_vs_1dev\": %.3f}%s\n",
-                 Results[K].Devices, Results[K].Steal ? "true" : "false",
-                 Results[K].SimMs, Results[K].JobsPerSimSec,
-                 static_cast<unsigned long long>(Results[K].StolenShreds),
-                 static_cast<unsigned long long>(Results[K].HostShreds),
-                 Results[K].JobsPerSimSec / Base,
-                 K + 1 < Results.size() ? "," : "");
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
-  std::printf("wrote %s\n", JsonPath);
-  return 0;
+  bool Wrote = writeBenchJson("cluster", [&](json::Writer &W) {
+    W.member("scale", Scale)
+        .member("jobs", Jobs)
+        .member("shreds_per_job", Shreds)
+        .member("output_hash",
+                formatString("%016llx", static_cast<unsigned long long>(
+                                            Results.front().Hash)))
+        .member("configs", Results);
+  });
+  return Wrote ? 0 : 1;
 }

@@ -39,6 +39,16 @@ struct Result {
   uint64_t Retried = 0;
   uint64_t Redispatched = 0;
   uint64_t Offlined = 0;
+
+  static constexpr auto jsonFields() {
+    using S = Result;
+    return json::fields(
+        "config", &S::Config, "wall_seconds", &S::WallSec,
+        "overhead_pct", &S::OverheadPct,
+        "sim_instructions", &S::SimInstructions,
+        "faults_injected", &S::FaultsInjected, "retried", &S::Retried,
+        "redispatched", &S::Redispatched, "eus_offlined", &S::Offlined);
+  }
 };
 
 /// Best-of-trials wall clock of one configuration; a fresh platform per
@@ -110,36 +120,11 @@ int main() {
                 static_cast<unsigned long long>(R.Offlined));
   }
 
-  const char *JsonPath = std::getenv("EXOCHI_BENCH_JSON");
-  if (!JsonPath || !*JsonPath)
-    JsonPath = "BENCH_faultlab.json";
-  FILE *F = std::fopen(JsonPath, "w");
-  if (!F) {
-    std::fprintf(stderr, "bench_faultlab: cannot write %s\n", JsonPath);
-    return 1;
-  }
-  std::fprintf(F,
-               "{\n  \"bench\": \"faultlab\",\n  \"scale\": %g,\n"
-               "  \"trials\": %d,\n  \"kernel\": \"SepiaTone\",\n"
-               "  \"results\": [\n",
-               Scale, Trials);
-  for (size_t K = 0; K < Results.size(); ++K) {
-    const Result &R = Results[K];
-    std::fprintf(F,
-                 "    {\"config\": \"%s\", \"wall_seconds\": %.6f, "
-                 "\"overhead_pct\": %.3f, \"sim_instructions\": %llu, "
-                 "\"faults_injected\": %llu, \"retried\": %llu, "
-                 "\"redispatched\": %llu, \"eus_offlined\": %llu}%s\n",
-                 R.Config.c_str(), R.WallSec, R.OverheadPct,
-                 static_cast<unsigned long long>(R.SimInstructions),
-                 static_cast<unsigned long long>(R.FaultsInjected),
-                 static_cast<unsigned long long>(R.Retried),
-                 static_cast<unsigned long long>(R.Redispatched),
-                 static_cast<unsigned long long>(R.Offlined),
-                 K + 1 < Results.size() ? "," : "");
-  }
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
-  std::printf("wrote %s\n", JsonPath);
-  return 0;
+  bool Wrote = writeBenchJson("faultlab", [&](json::Writer &W) {
+    W.member("scale", Scale)
+        .member("trials", Trials)
+        .member("kernel", "SepiaTone")
+        .member("results", Results);
+  });
+  return Wrote ? 0 : 1;
 }

@@ -41,6 +41,17 @@ struct Result {
   uint64_t SimInstructions = 0;
   double speedup() const { return CycleSec / FastSec; }
   double elisionGain() const { return FastCheckedSec / FastSec; }
+
+  static constexpr auto jsonFields() {
+    using S = Result;
+    return json::fields(
+        "kernel", &S::Kernel, "sim_instructions", &S::SimInstructions,
+        "cycle_seconds", &S::CycleSec, "fast_seconds", &S::FastSec,
+        "fast_checked_seconds", &S::FastCheckedSec,
+        "cycle_jobs_per_sec", [](const S &R) { return 1.0 / R.CycleSec; },
+        "fast_jobs_per_sec", [](const S &R) { return 1.0 / R.FastSec; },
+        "speedup_fast_vs_cycle", &S::speedup, "elision_gain", &S::elisionGain);
+  }
 };
 
 /// Best-of-\p Trials steady-state wall seconds for one dispatch under
@@ -157,33 +168,9 @@ int main() {
     Results.push_back(R);
   }
 
-  const char *JsonPath = std::getenv("EXOCHI_BENCH_JSON");
-  if (!JsonPath || !*JsonPath)
-    JsonPath = "BENCH_jit.json";
-  FILE *F = std::fopen(JsonPath, "w");
-  if (!F) {
-    std::fprintf(stderr, "bench_jit: cannot write %s\n", JsonPath);
-    return 1;
-  }
-  std::fprintf(F, "{\n  \"bench\": \"jit\",\n  \"scale\": %g,\n"
-                  "  \"trials\": %d,\n  \"results\": [\n",
-               Scale, Trials);
-  for (size_t K = 0; K < Results.size(); ++K) {
-    const Result &R = Results[K];
-    std::fprintf(
-        F,
-        "    {\"kernel\": \"%s\", \"sim_instructions\": %llu, "
-        "\"cycle_seconds\": %.6f, \"fast_seconds\": %.6f, "
-        "\"fast_checked_seconds\": %.6f, \"cycle_jobs_per_sec\": %.2f, "
-        "\"fast_jobs_per_sec\": %.2f, \"speedup_fast_vs_cycle\": %.2f, "
-        "\"elision_gain\": %.3f}%s\n",
-        R.Kernel.c_str(),
-        static_cast<unsigned long long>(R.SimInstructions), R.CycleSec,
-        R.FastSec, R.FastCheckedSec, 1.0 / R.CycleSec, 1.0 / R.FastSec,
-        R.speedup(), R.elisionGain(), K + 1 < Results.size() ? "," : "");
-  }
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
-  std::printf("wrote %s\n", JsonPath);
-  return 0;
+  bool Wrote = writeBenchJson("jit", [&](json::Writer &W) {
+    W.member("scale", Scale).member("trials", Trials).member("results",
+                                                             Results);
+  });
+  return Wrote ? 0 : 1;
 }

@@ -173,6 +173,15 @@ struct TrialResult {
   Percentiles LatMs, LagMs;
   uint64_t Completed = 0, Other = 0;
   uint64_t CoalescedBatches = 0, CoalescedJobs = 0;
+
+  static constexpr auto jsonFields() {
+    using S = TrialResult;
+    return json::fields(
+        "jobs_per_sec", &S::JobsPerSec, "completed", &S::Completed,
+        "other", &S::Other, "coalesced_batches", &S::CoalescedBatches,
+        "coalesced_jobs", &S::CoalescedJobs, "latency_ms", &S::LatMs,
+        "lag_ms", &S::LagMs);
+  }
 };
 
 /// One measurement: \p Conns connections of \p Jobs jobs each against a
@@ -268,6 +277,15 @@ struct FaultTrial {
   uint64_t Completed = 0, Other = 0;
   uint64_t Resubmits = 0, DedupReplays = 0, FaultsInjected = 0;
   double RetryAmplification = 1.0; ///< submits sent / jobs asked
+
+  static constexpr auto jsonFields() {
+    using S = FaultTrial;
+    return json::fields(
+        "goodput_per_sec", &S::GoodputPerSec, "completed", &S::Completed,
+        "other", &S::Other, "retry_amplification", &S::RetryAmplification,
+        "resubmits", &S::Resubmits, "dedup_replays", &S::DedupReplays,
+        "faults_injected", &S::FaultsInjected, "latency_ms", &S::LatMs);
+  }
 };
 
 /// One fault-sweep point: every NetChaos kind armed at \p Rate against
@@ -320,16 +338,13 @@ FaultTrial runFaultTrial(double Rate, unsigned Conns, unsigned Jobs,
 
 /// P999 printed with \p Fmt, or \p Absent when too few samples lie
 /// beyond it to estimate it.
-std::string p999Or(const Percentiles &P, const char *Fmt, const char *Absent) {
-  return P.P999 ? formatString(Fmt, *P.P999) : std::string(Absent);
-}
-
 void printFaultRow(const char *Label, double Rate, const FaultTrial &T) {
   std::printf("%-14s %8.3f %10.0f %9llu %9.3f %8.2f %8.2f %8s\n", Label,
               Rate < 0 ? 0.0 : Rate, T.GoodputPerSec,
               static_cast<unsigned long long>(T.Completed),
               T.RetryAmplification, T.LatMs.P50, T.LatMs.P99,
-              p999Or(T.LatMs, "%.2f", "n/a").c_str());
+              T.LatMs.P999 ? formatString("%.2f", *T.LatMs.P999).c_str()
+                           : "n/a");
 }
 
 void printRow(const char *Label, double RateTarget, const TrialResult &R) {
@@ -485,70 +500,28 @@ int main(int Argc, char **Argv) {
                  "exceeds the 1%% guarantee\n",
                  DisarmedOverheadPct);
 
-  const char *JsonPath = std::getenv("EXOCHI_BENCH_JSON");
-  if (!JsonPath || !*JsonPath)
-    JsonPath = "BENCH_net.json";
-  FILE *F = std::fopen(JsonPath, "w");
-  if (!F) {
-    std::fprintf(stderr, "bench_net: cannot write %s\n", JsonPath);
-    return 1;
-  }
-  auto EmitTrial = [&](const char *Name, double Target,
-                       const TrialResult &R, const char *Trail) {
-    std::fprintf(F,
-                 "    {\"config\": \"%s\", \"rate_target\": %.1f, "
-                 "\"jobs_per_sec\": %.1f, \"completed\": %llu, "
-                 "\"other\": %llu, \"coalesced_batches\": %llu, "
-                 "\"coalesced_jobs\": %llu, \"latency_ms\": {\"samples\": %zu, "
-                 "\"p50\": %.3f, \"p95\": %.3f, \"p99\": %.3f, \"p999\": %s}, "
-                 "\"lag_ms\": {\"p50\": %.3f, \"p99\": %.3f}}%s\n",
-                 Name, Target, R.JobsPerSec,
-                 static_cast<unsigned long long>(R.Completed),
-                 static_cast<unsigned long long>(R.Other),
-                 static_cast<unsigned long long>(R.CoalescedBatches),
-                 static_cast<unsigned long long>(R.CoalescedJobs),
-                 R.LatMs.Samples, R.LatMs.P50, R.LatMs.P95, R.LatMs.P99,
-                 p999Or(R.LatMs, "%.3f", "null").c_str(), R.LagMs.P50,
-                 R.LagMs.P99, Trail);
+  auto Row = [](json::Writer &W, const char *Label, const char *RateKey,
+                double Rate, const auto &R) {
+    W.beginObject().member("config", Label).member(RateKey, Rate);
+    W.fields(R).endObject();
   };
-  std::fprintf(F,
-               "{\n  \"bench\": \"net\",\n  \"scale\": %g,\n"
-               "  \"connections\": %u,\n  \"jobs_per_conn\": %u,\n"
-               "  \"calibration_jobs_per_sec\": %.1f,\n  \"sweep\": [\n",
-               Scale, Conns, Jobs, Cal.JobsPerSec);
-  for (size_t K = 0; K < Sweep.size(); ++K)
-    EmitTrial(Sweep[K].Label.c_str(), Sweep[K].RateTarget, Sweep[K].R,
-              K + 1 < Sweep.size() ? "," : "");
-  std::fprintf(F, "  ],\n  \"coalesce\": [\n");
-  EmitTrial("window-1", Overload, W1, ",");
-  EmitTrial("window-8", Overload, W8, "");
-  std::fprintf(F, "  ],\n  \"faults\": [\n");
-  for (size_t K = 0; K < 4; ++K) {
-    const FaultPoint &P = FaultSweep[K];
-    std::fprintf(F,
-                 "    {\"config\": \"%s\", \"fault_rate\": %.3f, "
-                 "\"goodput_per_sec\": %.1f, \"completed\": %llu, "
-                 "\"other\": %llu, \"retry_amplification\": %.4f, "
-                 "\"resubmits\": %llu, \"dedup_replays\": %llu, "
-                 "\"faults_injected\": %llu, \"latency_ms\": "
-                 "{\"samples\": %zu, \"p50\": %.3f, \"p99\": %.3f, "
-                 "\"p999\": %s}}%s\n",
-                 P.Label, P.Rate < 0 ? 0.0 : P.Rate, P.T.GoodputPerSec,
-                 static_cast<unsigned long long>(P.T.Completed),
-                 static_cast<unsigned long long>(P.T.Other),
-                 P.T.RetryAmplification,
-                 static_cast<unsigned long long>(P.T.Resubmits),
-                 static_cast<unsigned long long>(P.T.DedupReplays),
-                 static_cast<unsigned long long>(P.T.FaultsInjected),
-                 P.T.LatMs.Samples, P.T.LatMs.P50, P.T.LatMs.P99,
-                 p999Or(P.T.LatMs, "%.3f", "null").c_str(),
-                 K + 1 < 4 ? "," : "");
-  }
-  std::fprintf(F,
-               "  ],\n  \"disarmed_overhead_pct\": %.3f,\n"
-               "  \"coalesce_speedup\": %.3f\n}\n",
-               DisarmedOverheadPct, Gain);
-  std::fclose(F);
-  std::printf("wrote %s\n", JsonPath);
-  return 0;
+  bool Wrote = writeBenchJson("net", [&](json::Writer &W) {
+    W.member("scale", Scale)
+        .member("connections", Conns)
+        .member("jobs_per_conn", Jobs)
+        .member("calibration_jobs_per_sec", Cal.JobsPerSec);
+    W.key("sweep").beginArray();
+    for (const SweepPoint &P : Sweep)
+      Row(W, P.Label.c_str(), "rate_target", P.RateTarget, P.R);
+    W.endArray().key("coalesce").beginArray();
+    Row(W, "window-1", "rate_target", Overload, W1);
+    Row(W, "window-8", "rate_target", Overload, W8);
+    W.endArray().key("faults").beginArray();
+    for (const FaultPoint &P : FaultSweep)
+      Row(W, P.Label, "fault_rate", P.Rate < 0 ? 0.0 : P.Rate, P.T);
+    W.endArray()
+        .member("disarmed_overhead_pct", DisarmedOverheadPct)
+        .member("coalesce_speedup", Gain);
+  });
+  return Wrote ? 0 : 1;
 }

@@ -86,6 +86,22 @@ double wallSec(const std::function<void()> &Fn) {
   return std::chrono::duration<double>(T1 - T0).count();
 }
 
+/// One saturation configuration's best-of-trials result.
+struct SatResult {
+  std::string Config;
+  double JobsPerSec = 0;
+  Percentiles LatUs; ///< per-job pop-to-terminal wall latency
+  uint64_t Completed = 0, Preempted = 0;
+
+  static constexpr auto jsonFields() {
+    using S = SatResult;
+    return json::fields(
+        "config", &S::Config, "jobs_per_sec", &S::JobsPerSec,
+        "completed", &S::Completed, "deadline_preempted", &S::Preempted,
+        "latency_us", &S::LatUs);
+  }
+};
+
 } // namespace
 
 int main() {
@@ -128,12 +144,6 @@ int main() {
   std::printf("%-12s %12.3f %11.2f%%\n", "served", ServedUs, OverheadPct);
 
   // --- Saturation: queue kept full, vecadd jobs. ----------------------
-  struct SatResult {
-    std::string Config;
-    double JobsPerSec = 0;
-    Percentiles LatUs; ///< per-job pop-to-terminal wall latency
-    uint64_t Completed = 0, Preempted = 0;
-  };
   std::vector<SatResult> Sat;
   for (int64_t Deadline : {-1L, 600L}) {
     SatResult SR;
@@ -189,34 +199,15 @@ int main() {
                 static_cast<unsigned long long>(SR.Preempted), SR.LatUs.P50,
                 SR.LatUs.P95, SR.LatUs.P99);
 
-  const char *JsonPath = std::getenv("EXOCHI_BENCH_JSON");
-  if (!JsonPath || !*JsonPath)
-    JsonPath = "BENCH_serve.json";
-  FILE *F = std::fopen(JsonPath, "w");
-  if (!F) {
-    std::fprintf(stderr, "bench_serve: cannot write %s\n", JsonPath);
-    return 1;
-  }
-  std::fprintf(F,
-               "{\n  \"bench\": \"serve\",\n  \"scale\": %g,\n"
-               "  \"trials\": %d,\n  \"jobs\": %u,\n"
-               "  \"overhead\": {\"direct_us_per_job\": %.4f, "
-               "\"served_us_per_job\": %.4f, \"overhead_pct\": %.3f},\n"
-               "  \"saturation\": [\n",
-               Scale, Trials, Jobs, DirectUs, ServedUs, OverheadPct);
-  for (size_t K = 0; K < Sat.size(); ++K)
-    std::fprintf(F,
-                 "    {\"config\": \"%s\", \"jobs_per_sec\": %.1f, "
-                 "\"completed\": %llu, \"deadline_preempted\": %llu, "
-                 "\"latency_us\": {\"p50\": %.2f, \"p95\": %.2f, "
-                 "\"p99\": %.2f}}%s\n",
-                 Sat[K].Config.c_str(), Sat[K].JobsPerSec,
-                 static_cast<unsigned long long>(Sat[K].Completed),
-                 static_cast<unsigned long long>(Sat[K].Preempted),
-                 Sat[K].LatUs.P50, Sat[K].LatUs.P95, Sat[K].LatUs.P99,
-                 K + 1 < Sat.size() ? "," : "");
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
-  std::printf("wrote %s\n", JsonPath);
-  return 0;
+  bool Wrote = writeBenchJson("serve", [&](json::Writer &W) {
+    W.member("scale", Scale).member("trials", Trials).member("jobs", Jobs);
+    W.key("overhead")
+        .beginObject()
+        .member("direct_us_per_job", DirectUs)
+        .member("served_us_per_job", ServedUs)
+        .member("overhead_pct", OverheadPct)
+        .endObject();
+    W.member("saturation", Sat);
+  });
+  return Wrote ? 0 : 1;
 }

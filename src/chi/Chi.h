@@ -124,19 +124,9 @@ struct ChiStats {
   uint64_t Offlined = 0;       ///< EUs taken out of rotation
 };
 
-/// One ExoCluster lane's share of a region (a device shard, or the IA32
-/// host steal lane). Single-device and fast-lane dispatches report one
-/// row for device 0.
-struct ShardStat {
-  unsigned Lane = 0; ///< device index; numDevices() for the host lane
-  bool HostLane = false;
-  uint64_t Shreds = 0; ///< shreds this lane executed
-  uint64_t Stolen = 0; ///< of those, acquired through work stealing
-  TimeNs FinishNs = 0; ///< lane clock when it went idle
-  double IssueCycles = 0;
-
-  bool operator==(const ShardStat &O) const = default;
-};
+/// One ExoCluster lane's share of a region (gma::ShardStat). Single-device
+/// and fast-lane dispatches report one row for device 0.
+using gma::ShardStat;
 
 /// Statistics of one executed parallel region / task-queue wave.
 struct RegionStats {

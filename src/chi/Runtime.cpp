@@ -401,20 +401,11 @@ Expected<RegionHandle> Runtime::dispatch(const RegionSpec &Spec) {
       return Res.takeError();
     Stats.DeadlinePreempted = (Res->Exit == gma::RunExit::DeadlinePreempted);
     Stats.Device = std::move(Res->Total);
-    for (const cluster::LaneStats &L : Res->Lanes) {
-      // Idle lanes (typically the host lane when nothing was worth
-      // stealing) are omitted: a shard row means "executed shreds here".
-      if (L.Shreds == 0)
-        continue;
-      ShardStat S;
-      S.Lane = L.Lane;
-      S.HostLane = L.HostLane;
-      S.Shreds = L.Shreds;
-      S.Stolen = L.Stolen;
-      S.FinishNs = L.FinishNs;
-      S.IssueCycles = L.IssueCycles;
-      Stats.Shards.push_back(S);
-    }
+    // Idle lanes (typically the host lane when nothing was worth
+    // stealing) are omitted: a shard row means "executed shreds here".
+    Stats.Shards = std::move(Res->Lanes);
+    std::erase_if(Stats.Shards,
+                  [](const ShardStat &S) { return S.Shreds == 0; });
   } else {
     for (gma::ShredDescriptor &D : Descs)
       Device.enqueueShred(std::move(D));
@@ -429,14 +420,10 @@ Expected<RegionHandle> Runtime::dispatch(const RegionSpec &Spec) {
   }
   // Non-cluster dispatches report one shard row for device 0 so stats
   // consumers see a uniform per-lane shape at any device count.
-  if (Stats.Shards.empty()) {
-    ShardStat S;
-    S.Lane = 0;
-    S.Shreds = Stats.Device.ShredsExecuted;
-    S.FinishNs = Stats.Device.FinishNs;
-    S.IssueCycles = Stats.Device.IssueCycles;
-    Stats.Shards.push_back(S);
-  }
+  if (Stats.Shards.empty())
+    Stats.Shards.push_back({.Shreds = Stats.Device.ShredsExecuted,
+                            .FinishNs = Stats.Device.FinishNs,
+                            .IssueCycles = Stats.Device.IssueCycles});
   Stats.DeviceFinishNs = Stats.Device.FinishNs;
 
   // Accumulate FaultLab resilience totals: device counters reset per run,

@@ -29,12 +29,11 @@ uint64_t mix64(uint64_t X) {
 /// half-open shred range. Execution consumes from the front, steals take
 /// the back half, so the range stays contiguous for the lane's lifetime.
 struct Lane {
-  unsigned Index = 0;   ///< device index; NumDevices for the host lane
-  bool Host = false;
   size_t Lo = 0, Hi = 0; ///< remaining range into the region's Descs
   mem::TimeNs ReadyNs = 0;
   bool Retired = false; ///< idle with nothing left to steal
-  LaneStats Stats;
+  gma::ShardStat Stats; ///< Stats.Lane is the device index, or NumDevices
+                        ///< with Stats.HostLane set for the host lane
 };
 
 /// Folds one device chunk's stats into the fleet aggregate. OfflinedEus
@@ -99,21 +98,12 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
       AnyEu = AnyEu || !Platform.device(D).euQuarantined(K);
     if (!AnyEu)
       continue;
-    Lane L;
-    L.Index = D;
-    L.ReadyNs = StartNs;
-    L.Stats.Lane = D;
-    Lanes.push_back(std::move(L));
+    Lanes.push_back({.ReadyNs = StartNs, .Stats = {.Lane = D}});
   }
   const size_t NumDeviceLanes = Lanes.size();
   if (Config.HostLane && Config.Steal && !Descs.empty()) {
-    Lane L;
-    L.Index = NumDevices;
-    L.Host = true;
-    L.ReadyNs = StartNs;
-    L.Stats.Lane = NumDevices;
-    L.Stats.HostLane = true;
-    Lanes.push_back(std::move(L));
+    Lanes.push_back(
+        {.ReadyNs = StartNs, .Stats = {.Lane = NumDevices, .HostLane = true}});
   }
   if (Lanes.empty())
     return Error::make("cluster: no available device lane (all quarantined)");
@@ -154,7 +144,7 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
       if (L.Retired)
         continue;
       if (!Next || L.ReadyNs < Next->ReadyNs ||
-          (L.ReadyNs == Next->ReadyNs && L.Index < Next->Index))
+          (L.ReadyNs == Next->ReadyNs && L.Stats.Lane < Next->Stats.Lane))
         Next = &L;
     }
     if (!Next) // every lane retired with work left: impossible to serve
@@ -177,7 +167,7 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
           size_t R = V.Hi - V.Lo;
           if (R < 2 || &V == &L)
             continue;
-          uint64_t H = mix64(Config.StealSeed ^ (StealSeq << 8) ^ V.Index);
+          uint64_t H = mix64(Config.StealSeed ^ (StealSeq << 8) ^ V.Stats.Lane);
           if (R > Best || (R == Best && Victim && H < BestHash)) {
             Best = R;
             Victim = &V;
@@ -185,7 +175,7 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
           }
         }
       }
-      if (Victim && L.Host && L.Stats.Shreds > 0) {
+      if (Victim && L.Stats.HostLane && L.Stats.Shreds > 0) {
         // Payoff guard on everything after the host's first steal: only
         // take a shred the victim would not reach before the host could
         // finish it, using observed per-shred times (simulated-time
@@ -210,7 +200,7 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
         continue;
       }
       size_t R = Victim->Hi - Victim->Lo;
-      size_t Take = L.Host ? 1 : R / 2;
+      size_t Take = L.Stats.HostLane ? 1 : R / 2;
       size_t Mid = Victim->Hi - Take;
       L.Lo = Mid;
       L.Hi = Victim->Hi;
@@ -230,7 +220,7 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
       break;
     }
 
-    if (L.Host) {
+    if (L.Stats.HostLane) {
       // Host lane: one shred at a time through the proxy (fine
       // granularity steals better, and the host has a single sequencer
       // anyway).
@@ -266,7 +256,7 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
     // Device lane: commit the next chunk of its range. Per-chunk stats
     // reset keeps the shared fault injector's schedule intact (the
     // caller rewinds it once per region).
-    gma::GmaDevice &Dev = Platform.device(L.Index);
+    gma::GmaDevice &Dev = Platform.device(L.Stats.Lane);
     size_t Take = std::min<size_t>(Chunk, L.Hi - L.Lo);
     Dev.resetStats(/*RewindFaults=*/false);
     for (size_t I = 0; I < Take; ++I)
@@ -277,7 +267,7 @@ ClusterScheduler::run(std::vector<gma::ShredDescriptor> Descs,
     if (!Exit)
       return Exit.takeError();
     const gma::GmaRunStats &St = Dev.stats();
-    accumulate(Res.Total, St, L.Index, NumEus);
+    accumulate(Res.Total, St, L.Stats.Lane, NumEus);
     L.Lo += Take;
     L.Stats.Shreds += St.ShredsExecuted;
     L.Stats.IssueCycles += St.IssueCycles;

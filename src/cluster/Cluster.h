@@ -59,17 +59,6 @@ struct ClusterConfig {
   mem::TimeNs StealLatencyNs = 60.0;
 };
 
-/// Per-lane execution summary (one row per device, plus the host lane).
-struct LaneStats {
-  unsigned Lane = 0;    ///< device index; numDevices() for the host lane
-  bool HostLane = false;
-  uint64_t Shreds = 0;  ///< shreds this lane executed
-  uint64_t Stolen = 0;  ///< of those, acquired through steals
-  uint64_t Steals = 0;  ///< successful steal operations performed
-  mem::TimeNs FinishNs = 0; ///< lane clock when it went idle for good
-  double IssueCycles = 0;   ///< EU issue cycles charged on this lane
-};
-
 /// Result of one cluster region.
 struct ClusterResult {
   gma::RunExit Exit = gma::RunExit::QueueDrained;
@@ -77,7 +66,8 @@ struct ClusterResult {
   /// makespan, OfflinedEus remapped to cluster-wide indices
   /// (device × NumEus + EU) in deterministic offline order.
   gma::GmaRunStats Total;
-  std::vector<LaneStats> Lanes;
+  /// One row per lane (devices in index order, then the host lane).
+  std::vector<gma::ShardStat> Lanes;
 };
 
 /// Shards one region across the platform's device fleet. Stateless

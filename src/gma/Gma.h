@@ -22,7 +22,9 @@
 #include "mem/PhysicalMemory.h"
 #include "mem/Tlb.h"
 #include "support/Error.h"
+#include "support/Json.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -279,11 +281,70 @@ struct GmaRunStats {
   bool operator==(const GmaRunStats &) const = default;
 
   TimeNs elapsedNs() const { return FinishNs - StartNs; }
+
+  static constexpr auto jsonFields() {
+    using S = GmaRunStats;
+    return json::fields(
+        "backend", [](const S &R) { return backendName(R.Backend); },
+        "start_ns", &S::StartNs, "finish_ns", &S::FinishNs,
+        "shreds", &S::ShredsExecuted, "instructions", &S::Instructions,
+        "memory_ops", &S::MemoryOps, "bytes_loaded", &S::BytesLoaded,
+        "bytes_stored", &S::BytesStored, "tlb_misses", &S::TlbMisses,
+        "proxy_calls", &S::ProxyCalls,
+        "exceptions_handled", &S::ExceptionsHandled,
+        "cache_hits", &S::CacheHits, "cache_misses", &S::CacheMisses,
+        "sampler_ops", &S::SamplerOps, "issue_cycles", &S::IssueCycles,
+        "proxy_stall_ns", &S::ProxyStallNs,
+        "faults_injected", &S::FaultsInjected, "eus_offlined", &S::EusOfflined,
+        "shreds_redispatched", &S::ShredsRedispatched,
+        "host_redispatches", &S::HostRedispatches,
+        "mailbox_dropped", &S::MailboxDropped,
+        "mailbox_duplicated", &S::MailboxDuplicated,
+        "shreds_preempted", &S::ShredsPreempted,
+        "offlined_eus", &S::OfflinedEus);
+  }
 };
 
 /// One-line JSON rendering of \p S (machine-readable device stats for
 /// tools; includes the active backend).
-std::string runStatsJson(const GmaRunStats &S);
+inline std::string runStatsJson(const GmaRunStats &S) {
+  return json::render(S);
+}
+
+/// One lane's share of a dispatch: a device shard, or the IA32 host lane
+/// that steals work (the paper's Fig. 10 split between sequencers). A
+/// region's row covers one job; serving totals merge rows lane by lane.
+struct ShardStat {
+  unsigned Lane = 0; ///< device index; numDevices() for the host lane
+  bool HostLane = false;
+  uint64_t Shreds = 0; ///< shreds this lane executed
+  uint64_t Stolen = 0; ///< of those, acquired through work stealing
+  uint64_t Steals = 0; ///< successful steal operations performed
+  uint64_t Jobs = 1;   ///< dispatches the row covers
+  TimeNs FinishNs = 0; ///< lane clock when it went idle for good
+  double IssueCycles = 0; ///< EU issue cycles charged on this lane
+
+  /// Merges \p O into this row: counts add, FinishNs takes the later.
+  ShardStat &operator+=(const ShardStat &O) {
+    Shreds += O.Shreds;
+    Stolen += O.Stolen;
+    Steals += O.Steals;
+    Jobs += O.Jobs;
+    FinishNs = std::max(FinishNs, O.FinishNs);
+    IssueCycles += O.IssueCycles;
+    return *this;
+  }
+
+  bool operator==(const ShardStat &) const = default;
+
+  static constexpr auto jsonFields() {
+    using S = ShardStat;
+    return json::fields(
+        "lane", &S::Lane, "host", &S::HostLane, "jobs", &S::Jobs,
+        "shreds", &S::Shreds, "stolen", &S::Stolen, "steals", &S::Steals,
+        "finish_ns", &S::FinishNs, "issue_cycles", &S::IssueCycles);
+  }
+};
 
 } // namespace gma
 } // namespace exochi

@@ -70,32 +70,6 @@ std::optional<BackendKind> gma::parseBackendName(std::string_view Name) {
   return std::nullopt;
 }
 
-std::string gma::runStatsJson(const GmaRunStats &S) {
-  return formatString(
-      "{\"backend\": \"%s\", \"start_ns\": %.1f, \"finish_ns\": %.1f, "
-      "\"shreds\": %llu, \"instructions\": %llu, \"memory_ops\": %llu, "
-      "\"bytes_loaded\": %llu, \"bytes_stored\": %llu, "
-      "\"tlb_misses\": %llu, \"proxy_calls\": %llu, "
-      "\"exceptions_handled\": %llu, \"sampler_ops\": %llu, "
-      "\"issue_cycles\": %.1f, \"faults_injected\": %llu, "
-      "\"shreds_redispatched\": %llu, \"host_redispatches\": %llu, "
-      "\"shreds_preempted\": %llu}",
-      backendName(S.Backend), S.StartNs, S.FinishNs,
-      static_cast<unsigned long long>(S.ShredsExecuted),
-      static_cast<unsigned long long>(S.Instructions),
-      static_cast<unsigned long long>(S.MemoryOps),
-      static_cast<unsigned long long>(S.BytesLoaded),
-      static_cast<unsigned long long>(S.BytesStored),
-      static_cast<unsigned long long>(S.TlbMisses),
-      static_cast<unsigned long long>(S.ProxyCalls),
-      static_cast<unsigned long long>(S.ExceptionsHandled),
-      static_cast<unsigned long long>(S.SamplerOps), S.IssueCycles,
-      static_cast<unsigned long long>(S.FaultsInjected),
-      static_cast<unsigned long long>(S.ShredsRedispatched),
-      static_cast<unsigned long long>(S.HostRedispatches),
-      static_cast<unsigned long long>(S.ShredsPreempted));
-}
-
 const char *gma::exceptionKindName(ExceptionKind K) {
   switch (K) {
   case ExceptionKind::UnsupportedType:

@@ -7,50 +7,16 @@
 #include "gma/Trace.h"
 
 #include "support/Format.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <set>
 #include <tuple>
 
 using namespace exochi;
 using namespace exochi::gma;
-
-namespace {
-
-/// Escapes \p S for embedding in a JSON string literal (kernel names come
-/// from user-controlled fat-binary metadata).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", static_cast<unsigned>(
-                                           static_cast<unsigned char>(C)));
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
-
-} // namespace
 
 std::string TraceRecorder::toChromeJson() const {
   // Rows are flattened as Eu * stride + Slot. The stride must come from
@@ -63,49 +29,37 @@ std::string TraceRecorder::toChromeJson() const {
     Stride = std::max(Stride, 1u);
   }
 
-  std::string Out = "{\"traceEvents\":[\n";
-  bool First = true;
-
   // Name the processes (one per cluster device) and the rows.
-  std::map<unsigned, bool> Devices;
-  std::map<std::tuple<unsigned, unsigned, unsigned>, bool> Rows;
+  std::set<unsigned> Devices;
+  std::set<std::tuple<unsigned, unsigned, unsigned>> Rows;
   for (const ShredSpan &S : Spans) {
-    Devices[S.Device] = true;
-    Rows[{S.Device, S.Eu, S.Slot}] = true;
-  }
-  for (const auto &[Dev, Unused] : Devices) {
-    (void)Unused;
-    if (!First)
-      Out += ",\n";
-    First = false;
-    Out += formatString("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%u,"
-                        "\"args\":{\"name\":\"GMA device %u\"}}",
-                        Dev, Dev);
-  }
-  for (const auto &[Row, Unused] : Rows) {
-    (void)Unused;
-    auto [Dev, EuIdx, Slot] = Row;
-    if (!First)
-      Out += ",\n";
-    First = false;
-    Out += formatString("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%u,"
-                        "\"tid\":%u,\"args\":{\"name\":\"EU%u ctx%u\"}}",
-                        Dev, EuIdx * Stride + Slot, EuIdx, Slot);
+    Devices.insert(S.Device);
+    Rows.insert({S.Device, S.Eu, S.Slot});
   }
 
+  json::Writer W({.Compact = true, .LineDepth = 2});
+  W.beginObject().key("traceEvents").beginArray();
+  auto Meta = [&](const char *Kind, unsigned Pid, std::optional<unsigned> Tid,
+                  const std::string &Name) {
+    W.beginObject().member("name", Kind).member("ph", "M").member("pid", Pid);
+    if (Tid)
+      W.member("tid", *Tid);
+    W.key("args").beginObject().member("name", Name).endObject().endObject();
+  };
+  for (unsigned Dev : Devices)
+    Meta("process_name", Dev, std::nullopt, formatString("GMA device %u", Dev));
+  for (auto [Dev, EuIdx, Slot] : Rows)
+    Meta("thread_name", Dev, EuIdx * Stride + Slot,
+         formatString("EU%u ctx%u", EuIdx, Slot));
   for (const ShredSpan &S : Spans) {
-    if (!First)
-      Out += ",\n";
-    First = false;
-    Out += formatString(
-        "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
-        "\"pid\":%u,\"tid\":%u,\"args\":{\"shred\":%u}}",
-        jsonEscape(S.Kernel).c_str(), S.StartNs / 1000.0,
-        (S.EndNs - S.StartNs) / 1000.0, S.Device, S.Eu * Stride + S.Slot,
-        S.ShredId);
+    W.beginObject().member("name", S.Kernel).member("ph", "X");
+    W.member("ts", S.StartNs / 1000.0)
+        .member("dur", (S.EndNs - S.StartNs) / 1000.0);
+    W.member("pid", S.Device).member("tid", S.Eu * Stride + S.Slot);
+    W.key("args").beginObject().member("shred", S.ShredId).endObject();
+    W.endObject();
   }
-  Out += "\n]}\n";
-  return Out;
+  return W.endArray().endObject().take() + "\n";
 }
 
 double TraceRecorder::occupancy() const {

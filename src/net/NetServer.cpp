@@ -9,6 +9,7 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <iterator>
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
@@ -621,16 +622,9 @@ void NetServer::sweepResults() {
     // for jobs that never dispatched).
     if (J->Region)
       if (const chi::RegionStats *RS = RT.regionStats(J->Region))
-        for (const chi::ShardStat &S : RS->Shards) {
-          if (S.Shreds == 0)
-            continue;
-          wire::ResultMsg::Shard Row;
-          Row.Lane = S.Lane;
-          Row.HostLane = S.HostLane ? 1 : 0;
-          Row.Shreds = S.Shreds;
-          Row.Stolen = S.Stolen;
-          R.Shards.push_back(Row);
-        }
+        std::copy_if(RS->Shards.begin(), RS->Shards.end(),
+                     std::back_inserter(R.Shards),
+                     [](const chi::ShardStat &S) { return S.Shreds > 0; });
     if (Session *S = sessionByClient(It->second.ClientId)) {
       cacheResult(*S, R);
       if (Conn *C = S->Attached; C && !C->Closing)
@@ -831,30 +825,7 @@ void NetServer::run() {
 }
 
 std::string NetServer::statsJson() const {
-  return formatString(
-      "{\"serve\": %s, \"net\": {\"accepted\": %llu, \"closed\": %llu, "
-      "\"frames_in\": %llu, \"frames_out\": %llu, \"bytes_in\": %llu, "
-      "\"bytes_out\": %llu, \"malformed\": %llu, "
-      "\"backpressure_stalls\": %llu, \"results_dropped\": %llu, "
-      "\"retry_submits\": %llu, \"dedup_replays\": %llu, "
-      "\"dedup_evictions\": %llu, \"inflight_rebinds\": %llu, "
-      "\"sessions_resumed\": %llu, \"sessions_evicted\": %llu, "
-      "\"results_cached_detached\": %llu, \"faults_injected\": %llu}}",
-      Srv.statsJson().c_str(), static_cast<unsigned long long>(Net.Accepted),
-      static_cast<unsigned long long>(Net.Closed),
-      static_cast<unsigned long long>(Net.FramesIn),
-      static_cast<unsigned long long>(Net.FramesOut),
-      static_cast<unsigned long long>(Net.BytesIn),
-      static_cast<unsigned long long>(Net.BytesOut),
-      static_cast<unsigned long long>(Net.Malformed),
-      static_cast<unsigned long long>(Net.BackpressureStalls),
-      static_cast<unsigned long long>(Net.ResultsDropped),
-      static_cast<unsigned long long>(Net.RetrySubmits),
-      static_cast<unsigned long long>(Net.DedupReplays),
-      static_cast<unsigned long long>(Net.DedupEvictions),
-      static_cast<unsigned long long>(Net.InFlightRebinds),
-      static_cast<unsigned long long>(Net.SessionsResumed),
-      static_cast<unsigned long long>(Net.SessionsEvicted),
-      static_cast<unsigned long long>(Net.ResultsCachedDetached),
-      static_cast<unsigned long long>(Net.FaultsInjected));
+  json::Writer W;
+  W.beginObject().key("serve").raw(Srv.statsJson()).member("net", Net);
+  return W.endObject().take();
 }

@@ -55,6 +55,7 @@
 #include "net/Socket.h"
 #include "net/Wire.h"
 #include "serve/Server.h"
+#include "support/Json.h"
 
 #include <atomic>
 #include <chrono>
@@ -118,6 +119,24 @@ struct NetStats {
   uint64_t SessionsEvicted = 0; ///< detached sessions destroyed (bound)
   uint64_t ResultsCachedDetached = 0; ///< results held for a reconnect
   uint64_t FaultsInjected = 0; ///< outbound frames perturbed by NetChaos
+
+  static constexpr auto jsonFields() {
+    using S = NetStats;
+    return json::fields(
+        "accepted", &S::Accepted, "closed", &S::Closed,
+        "frames_in", &S::FramesIn, "frames_out", &S::FramesOut,
+        "bytes_in", &S::BytesIn, "bytes_out", &S::BytesOut,
+        "malformed", &S::Malformed,
+        "backpressure_stalls", &S::BackpressureStalls,
+        "results_dropped", &S::ResultsDropped,
+        "retry_submits", &S::RetrySubmits, "dedup_replays", &S::DedupReplays,
+        "dedup_evictions", &S::DedupEvictions,
+        "inflight_rebinds", &S::InFlightRebinds,
+        "sessions_resumed", &S::SessionsResumed,
+        "sessions_evicted", &S::SessionsEvicted,
+        "results_cached_detached", &S::ResultsCachedDetached,
+        "faults_injected", &S::FaultsInjected);
+  }
 };
 
 class NetServer {

@@ -329,9 +329,9 @@ std::vector<uint8_t> wire::encode(const ResultMsg &M) {
   W.f64(M.EndNs);
   W.str(M.Error);
   W.u32(static_cast<uint32_t>(M.Shards.size()));
-  for (const ResultMsg::Shard &S : M.Shards) {
+  for (const gma::ShardStat &S : M.Shards) {
     W.u32(S.Lane);
-    W.u8(S.HostLane);
+    W.u8(S.HostLane ? 1 : 0);
     W.u64(S.Shreds);
     W.u64(S.Stolen);
   }
@@ -524,11 +524,12 @@ Expected<ResultMsg> wire::decodeResult(const std::vector<uint8_t> &Body) {
   M.Error = R.str();
   uint32_t NumShards = R.count(MaxShardRows);
   for (uint32_t K = 0; R.ok() && K < NumShards; ++K) {
-    ResultMsg::Shard S;
+    gma::ShardStat S;
     S.Lane = R.u32();
-    S.HostLane = R.u8();
-    if (R.ok() && S.HostLane > 1)
-      R.fail(formatString("shard host byte %u out of range", S.HostLane));
+    uint8_t Host = R.u8();
+    if (R.ok() && Host > 1)
+      R.fail(formatString("shard host byte %u out of range", Host));
+    S.HostLane = Host != 0;
     S.Shreds = R.u64();
     S.Stolen = R.u64();
     M.Shards.push_back(S);

@@ -29,6 +29,7 @@
 #ifndef EXOCHI_NET_WIRE_H
 #define EXOCHI_NET_WIRE_H
 
+#include "gma/Gma.h"
 #include "support/Error.h"
 
 #include <cstdint>
@@ -365,15 +366,8 @@ struct ResultMsg {
   /// One row per cluster lane that executed shreds of the dispatch that
   /// ran this job (wire v2; empty for rejected/failed jobs). Lane is the
   /// device index, or numDevices() with HostLane set for the IA32 lane.
-  struct Shard {
-    uint32_t Lane = 0;
-    uint8_t HostLane = 0;
-    uint64_t Shreds = 0;
-    uint64_t Stolen = 0;
-
-    bool operator==(const Shard &) const = default;
-  };
-  std::vector<Shard> Shards;
+  /// Only Lane, HostLane, Shreds and Stolen travel on the wire.
+  std::vector<gma::ShardStat> Shards;
 };
 
 struct SurfaceDataMsg {

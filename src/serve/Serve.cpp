@@ -6,8 +6,6 @@
 
 #include "serve/Serve.h"
 
-#include "support/Format.h"
-
 using namespace exochi;
 using namespace exochi::serve;
 
@@ -63,16 +61,4 @@ const char *serve::jobStateName(JobState S) {
     return "failed";
   }
   exochiUnreachable("bad JobState");
-}
-
-std::string DrainSummary::toJson() const {
-  return formatString(
-      "{\"queued_at_drain\": %llu, \"ran_to_completion\": %llu, "
-      "\"preempted\": %llu, \"failed\": %llu, \"cancelled\": %llu, "
-      "\"drain_start_ns\": %.0f, \"drain_end_ns\": %.0f}",
-      static_cast<unsigned long long>(QueuedAtDrain),
-      static_cast<unsigned long long>(RanToCompletion),
-      static_cast<unsigned long long>(Preempted),
-      static_cast<unsigned long long>(Failed),
-      static_cast<unsigned long long>(Cancelled), DrainStartNs, DrainEndNs);
 }

@@ -28,8 +28,11 @@
 
 #include "chi/Runtime.h"
 #include "fault/FaultInjector.h"
+#include "support/Json.h"
 
 #include <cstdint>
+#include <iterator>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -136,18 +139,6 @@ struct JobRecord {
   }
 };
 
-/// Per-cluster-lane serving totals (ExoCluster): jobs and shreds a lane
-/// participated in across every dispatch this server ran.
-struct ShardRow {
-  unsigned Lane = 0; ///< device index; numDevices() for the host lane
-  bool HostLane = false;
-  uint64_t Jobs = 0;   ///< dispatches this lane executed shreds for
-  uint64_t Shreds = 0; ///< shreds the lane executed in total
-  uint64_t Stolen = 0; ///< of those, acquired through work stealing
-
-  bool operator==(const ShardRow &) const = default;
-};
-
 /// Aggregate ExoServe counters. Field-wise comparable: the chaos soak
 /// asserts bit-identical ServeStats across two runs of each seed.
 struct ServeStats {
@@ -182,13 +173,39 @@ struct ServeStats {
   /// calls Server::cancelClient from its connection-reap path).
   uint64_t CancelledDisconnect = 0;
   /// Per-lane serving totals, one row per cluster lane that executed at
-  /// least one shred (sorted by lane index).
-  std::vector<ShardRow> Shards;
+  /// least one shred (sorted by lane index): the dispatches' rows merged
+  /// with ShardStat::operator+=, so Jobs counts dispatches.
+  std::vector<chi::ShardStat> Shards;
   /// Injector fires observed while serving, by fault kind (FaultLab
   /// signal plumbing through FaultInjector::setObserver).
   uint64_t FaultSignals[fault::NumFaultKinds] = {};
 
   bool operator==(const ServeStats &) const = default;
+
+  /// Listed fields; Server::statsJson writes "backend" before them.
+  static constexpr auto jsonFields() {
+    using S = ServeStats;
+    return json::fields(
+        "fast_lane_jobs", &S::FastLaneJobs, "submitted", &S::Submitted,
+        "admitted", &S::Admitted, "completed", &S::Completed,
+        "deadline_preempted", &S::DeadlinePreempted, "drained", &S::Drained,
+        "failed", &S::Failed, "shed", &S::Shed,
+        "rejected_queue_full", &S::RejectedQueueFull,
+        "rejected_client_quota", &S::RejectedClientQuota,
+        "rejected_zero_budget", &S::RejectedZeroBudget,
+        "rejected_draining", &S::RejectedDraining,
+        "rejected_cost_over_deadline", &S::RejectedCostOverDeadline,
+        "rejected_deadline_expired", &S::RejectedDeadlineExpired,
+        "breaker_trips", &S::BreakerTrips, "breaker_probes", &S::BreakerProbes,
+        "breaker_readmits", &S::BreakerReadmits,
+        "coalesced_batches", &S::CoalescedBatches,
+        "coalesced_jobs", &S::CoalescedJobs,
+        "cancelled_disconnect", &S::CancelledDisconnect, "shards", &S::Shards,
+        "fault_signals", [](const S &R) {
+          return std::reduce(std::begin(R.FaultSignals),
+                             std::end(R.FaultSignals));
+        });
+  }
 };
 
 /// Machine-readable result of a drain.
@@ -203,8 +220,17 @@ struct DrainSummary {
 
   bool operator==(const DrainSummary &) const = default;
 
+  static constexpr auto jsonFields() {
+    using S = DrainSummary;
+    return json::fields(
+        "queued_at_drain", &S::QueuedAtDrain,
+        "ran_to_completion", &S::RanToCompletion, "preempted", &S::Preempted,
+        "failed", &S::Failed, "cancelled", &S::Cancelled,
+        "drain_start_ns", &S::DrainStartNs, "drain_end_ns", &S::DrainEndNs);
+  }
+
   /// One-line JSON object, e.g. for log scraping and the --serve CLI.
-  std::string toJson() const;
+  std::string toJson() const { return json::render(*this); }
 };
 
 } // namespace serve

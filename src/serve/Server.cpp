@@ -7,7 +7,6 @@
 #include "serve/Server.h"
 
 #include "isa/Encoding.h"
-#include "support/Format.h"
 #include "xopt/Cost.h"
 
 #include <algorithm>
@@ -268,22 +267,13 @@ void Server::accumulateShards(const chi::RegionStats &RS) {
   for (const chi::ShardStat &S : RS.Shards) {
     if (S.Shreds == 0)
       continue;
-    auto It = std::find_if(Stats.Shards.begin(), Stats.Shards.end(),
-                           [&](const ShardRow &R) { return R.Lane == S.Lane; });
-    if (It == Stats.Shards.end()) {
-      ShardRow Row;
-      Row.Lane = S.Lane;
-      Row.HostLane = S.HostLane;
-      It = Stats.Shards.insert(
-          std::upper_bound(Stats.Shards.begin(), Stats.Shards.end(), Row,
-                           [](const ShardRow &A, const ShardRow &B) {
-                             return A.Lane < B.Lane;
-                           }),
-          Row);
-    }
-    ++It->Jobs;
-    It->Shreds += S.Shreds;
-    It->Stolen += S.Stolen;
+    auto It = std::lower_bound(
+        Stats.Shards.begin(), Stats.Shards.end(), S.Lane,
+        [](const chi::ShardStat &R, unsigned Lane) { return R.Lane < Lane; });
+    if (It != Stats.Shards.end() && It->Lane == S.Lane)
+      *It += S;
+    else
+      Stats.Shards.insert(It, S);
   }
 }
 
@@ -514,57 +504,10 @@ DrainSummary Server::drain(bool CancelQueued) {
 }
 
 std::string Server::statsJson() const {
-  uint64_t FaultSignals = 0;
-  for (uint64_t N : Stats.FaultSignals)
-    FaultSignals += N;
-  std::string Shards;
-  for (const ShardRow &S : Stats.Shards) {
-    if (!Shards.empty())
-      Shards += ", ";
-    Shards += formatString(
-        "{\"lane\": %u, \"host\": %s, \"jobs\": %llu, \"shreds\": %llu, "
-        "\"stolen\": %llu}",
-        S.Lane, S.HostLane ? "true" : "false",
-        static_cast<unsigned long long>(S.Jobs),
-        static_cast<unsigned long long>(S.Shreds),
-        static_cast<unsigned long long>(S.Stolen));
-  }
-  return formatString(
-      "{\"backend\": \"%s\", \"fast_lane_jobs\": %llu, "
-      "\"submitted\": %llu, \"admitted\": %llu, \"completed\": %llu, "
-      "\"deadline_preempted\": %llu, \"drained\": %llu, \"failed\": %llu, "
-      "\"shed\": %llu, \"rejected_queue_full\": %llu, "
-      "\"rejected_client_quota\": %llu, \"rejected_zero_budget\": %llu, "
-      "\"rejected_draining\": %llu, \"rejected_cost_over_deadline\": %llu, "
-      "\"rejected_deadline_expired\": %llu, "
-      "\"breaker_trips\": %llu, "
-      "\"breaker_probes\": %llu, \"breaker_readmits\": %llu, "
-      "\"coalesced_batches\": %llu, \"coalesced_jobs\": %llu, "
-      "\"cancelled_disconnect\": %llu, \"shards\": [%s], "
-      "\"fault_signals\": %llu}",
-      gma::backendName(RT.feature(chi::Feature::Backend) != 0
-                           ? gma::BackendKind::Fast
-                           : gma::BackendKind::Cycle),
-      static_cast<unsigned long long>(Stats.FastLaneJobs),
-      static_cast<unsigned long long>(Stats.Submitted),
-      static_cast<unsigned long long>(Stats.Admitted),
-      static_cast<unsigned long long>(Stats.Completed),
-      static_cast<unsigned long long>(Stats.DeadlinePreempted),
-      static_cast<unsigned long long>(Stats.Drained),
-      static_cast<unsigned long long>(Stats.Failed),
-      static_cast<unsigned long long>(Stats.Shed),
-      static_cast<unsigned long long>(Stats.RejectedQueueFull),
-      static_cast<unsigned long long>(Stats.RejectedClientQuota),
-      static_cast<unsigned long long>(Stats.RejectedZeroBudget),
-      static_cast<unsigned long long>(Stats.RejectedDraining),
-      static_cast<unsigned long long>(Stats.RejectedCostOverDeadline),
-      static_cast<unsigned long long>(Stats.RejectedDeadlineExpired),
-      static_cast<unsigned long long>(Stats.BreakerTrips),
-      static_cast<unsigned long long>(Stats.BreakerProbes),
-      static_cast<unsigned long long>(Stats.BreakerReadmits),
-      static_cast<unsigned long long>(Stats.CoalescedBatches),
-      static_cast<unsigned long long>(Stats.CoalescedJobs),
-      static_cast<unsigned long long>(Stats.CancelledDisconnect),
-      Shards.c_str(),
-      static_cast<unsigned long long>(FaultSignals));
+  json::Writer W;
+  W.beginObject().member(
+      "backend", gma::backendName(RT.feature(chi::Feature::Backend) != 0
+                                      ? gma::BackendKind::Fast
+                                      : gma::BackendKind::Cycle));
+  return W.fields(Stats).endObject().take();
 }

@@ -250,7 +250,7 @@ TEST(ClusterTest, ShardDrainRoutesJobsAroundTheDevice) {
   ASSERT_TRUE(S.runNext().has_value());
   ASSERT_EQ(S.jobs().front().State, serve::JobState::Completed);
   R.verifyResult();
-  for (const serve::ShardRow &Row : S.stats().Shards)
+  for (const chi::ShardStat &Row : S.stats().Shards)
     EXPECT_NE(Row.Lane, 0u) << "a drained shard must receive no work";
 
   // Lifting the drain readmits the device on the next dispatch.
@@ -260,7 +260,7 @@ TEST(ClusterTest, ShardDrainRoutesJobsAroundTheDevice) {
   ASSERT_TRUE(S.submit(J2).Admitted);
   ASSERT_TRUE(S.runNext().has_value());
   bool Lane0 = false;
-  for (const serve::ShardRow &Row : S.stats().Shards)
+  for (const chi::ShardStat &Row : S.stats().Shards)
     Lane0 |= Row.Lane == 0;
   EXPECT_TRUE(Lane0) << "the readmitted device never rejoined";
 }

@@ -30,6 +30,7 @@
 #include "serve/Server.h"
 #include "isa/Encoding.h"
 #include "support/File.h"
+#include "support/Json.h"
 #include "support/Random.h"
 #include "support/StringUtils.h"
 #include "xopt/Verify.h"
@@ -556,8 +557,10 @@ int main(int Argc, char **Argv) {
     std::printf("drain-summary: %s\n", D.toJson().c_str());
 
     if (!StatsOut.empty()) {
-      std::string Json = "{\"serve_stats\": " + Srv.statsJson() +
-                         ", \"drain_summary\": " + D.toJson() + "}\n";
+      json::Writer W;
+      W.beginObject().key("serve_stats").raw(Srv.statsJson());
+      std::string Json =
+          W.member("drain_summary", D).endObject().take() + "\n";
       if (Error E = writeFileBytes(
               StatsOut, std::vector<uint8_t>(Json.begin(), Json.end()))) {
         std::fprintf(stderr, "exochi-run: %s\n", E.message().c_str());
