@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "isa/Decoded.h"
+#include "isa/OpTable.h"
 
 #include <cstring>
 #include <mutex>
@@ -48,52 +49,21 @@ DecodedOperand isa::decodeOperand(const Operand &O, ElemType ElemTy) {
 }
 
 double isa::decodedIssueCycles(const Instruction &I) {
-  double C;
-  switch (I.Op) {
-  case Opcode::Mov:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Not:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Asr:
-  case Opcode::Sel:
-    C = 0.5;
-    break;
-  case Opcode::Mul:
-  case Opcode::Mac:
-    C = 2;
-    break;
-  case Opcode::Div:
-    C = 8;
-    break;
-  case Opcode::Ld:
-  case Opcode::St:
-  case Opcode::LdBlk:
-  case Opcode::StBlk:
-  case Opcode::Sample:
-    C = 2;
-    break;
-  default:
-    C = 1;
-    break;
-  }
-  if (opcodeHasWidthType(I.Op) && I.Width > 8)
-    C *= 2;
-  return C;
+  const OpInfo &Row = opInfo(I.Op);
+  return Row.WidthType && I.Width > 8 ? 2 * Row.IssueCycles
+                                      : Row.IssueCycles;
 }
 
 namespace {
 
 DecodedInsn decodeInsn(const Instruction &I) {
   DecodedInsn D;
-  // Cvt reads Src0 in the source element type; everything else reads and
-  // writes in the instruction type.
+  // Scalar index operands are one register, a broadcast in any type.
+  const ElemType SrcTy = immTypeOf(I);
   D.Dst = decodeOperand(I.Dst, I.Ty);
-  D.Src0 = decodeOperand(I.Src0, I.Op == Opcode::Cvt ? I.SrcTy : I.Ty);
-  D.Src1 = decodeOperand(I.Src1, I.Ty);
-  D.Src2 = decodeOperand(I.Src2, I.Ty);
+  D.Src0 = decodeOperand(I.Src0, SrcTy);
+  D.Src1 = decodeOperand(I.Src1, SrcTy);
+  D.Src2 = decodeOperand(I.Src2, SrcTy);
   D.IssueCycles = decodedIssueCycles(I);
   return D;
 }

@@ -53,8 +53,9 @@ struct DecodedOperand {
 };
 
 /// One instruction with operands resolved and issue cost precomputed.
-/// The operand strides are derived from the instruction's element type
-/// (Src0 of Cvt uses the *source* type — it is read in SrcTy).
+/// Dst's stride comes from the instruction's element type, the sources'
+/// from the type they are read in (isa::immTypeOf: cvt's Src0 is read in
+/// its source type).
 struct DecodedInsn {
   DecodedOperand Dst;
   DecodedOperand Src0;

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "isa/Encoding.h"
+#include "isa/OpTable.h"
 
 #include "support/Format.h"
 
@@ -57,7 +58,7 @@ void isa::encodeInstruction(const Instruction &I, std::vector<uint8_t> &Out) {
 }
 
 Expected<Instruction> isa::decodeInstruction(const uint8_t *B) {
-  if (B[0] > static_cast<uint8_t>(Opcode::Nop))
+  if (B[0] >= NumOpcodes)
     return Error::make(formatString("bad opcode byte %u", B[0]));
   if (B[1] > static_cast<uint8_t>(ElemType::F64) ||
       B[2] > static_cast<uint8_t>(ElemType::F64))

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "isa/Isa.h"
+#include "isa/OpTable.h"
 
 #include "support/Error.h"
 #include "support/Format.h"
@@ -30,93 +31,7 @@ const char *isa::elemTypeName(ElemType Ty) {
   exochiUnreachable("bad ElemType");
 }
 
-const char *isa::opcodeName(Opcode Op) {
-  switch (Op) {
-  case Opcode::Mov:
-    return "mov";
-  case Opcode::Add:
-    return "add";
-  case Opcode::Sub:
-    return "sub";
-  case Opcode::Mul:
-    return "mul";
-  case Opcode::Mac:
-    return "mac";
-  case Opcode::Div:
-    return "div";
-  case Opcode::Min:
-    return "min";
-  case Opcode::Max:
-    return "max";
-  case Opcode::Avg:
-    return "avg";
-  case Opcode::Abs:
-    return "abs";
-  case Opcode::Shl:
-    return "shl";
-  case Opcode::Shr:
-    return "shr";
-  case Opcode::Asr:
-    return "asr";
-  case Opcode::And:
-    return "and";
-  case Opcode::Or:
-    return "or";
-  case Opcode::Xor:
-    return "xor";
-  case Opcode::Not:
-    return "not";
-  case Opcode::Sel:
-    return "sel";
-  case Opcode::Cmp:
-    return "cmp";
-  case Opcode::Cvt:
-    return "cvt";
-  case Opcode::Ld:
-    return "ld";
-  case Opcode::St:
-    return "st";
-  case Opcode::LdBlk:
-    return "ldblk";
-  case Opcode::StBlk:
-    return "stblk";
-  case Opcode::Sample:
-    return "sample";
-  case Opcode::Jmp:
-    return "jmp";
-  case Opcode::Br:
-    return "br";
-  case Opcode::Sid:
-    return "sid";
-  case Opcode::Xmit:
-    return "xmit";
-  case Opcode::Wait:
-    return "wait";
-  case Opcode::Spawn:
-    return "spawn";
-  case Opcode::Halt:
-    return "halt";
-  case Opcode::Nop:
-    return "nop";
-  }
-  exochiUnreachable("bad Opcode");
-}
-
-bool isa::opcodeHasWidthType(Opcode Op) {
-  switch (Op) {
-  case Opcode::Jmp:
-  case Opcode::Br:
-  case Opcode::Sid:
-  case Opcode::Xmit:
-  case Opcode::Wait:
-  case Opcode::Spawn:
-  case Opcode::Halt:
-  case Opcode::Nop:
-    return false;
-  default:
-    return true;
-  }
-}
+const char *isa::opcodeName(Opcode Op) { return opInfo(Op).Name; }
 
 const char *isa::cmpOpName(CmpOp C) {
   switch (C) {
@@ -134,16 +49,6 @@ const char *isa::cmpOpName(CmpOp C) {
     return "ge";
   }
   exochiUnreachable("bad CmpOp");
-}
-
-/// Immediate type of \p I's operands (the assembler's literal-typing
-/// rule): addresses and xmit operands are integers, a conversion's source
-/// is typed by its source type, everything else by the instruction type.
-static ElemType immTypeOf(const Instruction &I) {
-  if (I.Op == Opcode::Ld || I.Op == Opcode::St || I.Op == Opcode::LdBlk ||
-      I.Op == Opcode::StBlk || I.Op == Opcode::Xmit)
-    return ElemType::I32;
-  return I.Op == Opcode::Cvt ? I.SrcTy : I.Ty;
 }
 
 static std::string
@@ -182,58 +87,34 @@ operandText(const Operand &O, ElemType ImmTy,
 std::string
 isa::disassemble(const Instruction &I,
                  const std::function<std::string(uint32_t)> &LabelName) {
+  const OpInfo &Row = opInfo(I.Op);
   const ElemType ImmTy = immTypeOf(I);
-  auto Op = [&](const Operand &O) { return operandText(O, ImmTy, LabelName); };
+  const Operand *Slots[4] = {&I.Dst, &I.Src0, &I.Src1, &I.Src2};
   std::string Pred = formatString("%sp%u", I.PredNegate ? "!" : "", I.PredReg);
 
   std::string Out;
-  if (I.PredReg != NoPred && I.Op != Opcode::Sel && I.Op != Opcode::Br)
+  if (I.PredReg != NoPred && !Row.needsPred())
     Out += "(" + Pred + ") ";
 
-  Out += opcodeName(I.Op);
+  Out += Row.Name;
   if (I.Op == Opcode::Cmp)
     Out += formatString(".%s", cmpOpName(I.Cmp));
-  if (opcodeHasWidthType(I.Op)) {
+  if (Row.WidthType) {
     Out += formatString(".%u.%s", I.Width, elemTypeName(I.Ty));
-    if (I.Op == Opcode::Cvt)
+    if (Row.Src == SrcType::Cvt)
       Out += formatString(".%s", elemTypeName(I.SrcTy));
   }
 
-  switch (I.Op) {
-  case Opcode::Halt:
-  case Opcode::Nop:
-    return Out;
-  case Opcode::Jmp:
-  case Opcode::Spawn:
-    return Out + " " + Op(I.Src0);
-  case Opcode::Br:
-    return Out + " " + Pred + ", " + Op(I.Src0);
-  case Opcode::Sid:
-  case Opcode::Wait:
-    return Out + " " + Op(I.Dst);
-  case Opcode::Ld:
-  case Opcode::LdBlk:
-  case Opcode::Sample:
-    return Out + " " + Op(I.Dst) + " = (" + Op(I.Src0) + ", " + Op(I.Src1) +
-           ", " + Op(I.Src2) + ")";
-  case Opcode::St:
-  case Opcode::StBlk:
-    return Out + " (" + Op(I.Src0) + ", " + Op(I.Src1) + ", " + Op(I.Src2) +
-           ") = " + Op(I.Dst);
-  case Opcode::Xmit:
-    return Out + " " + Op(I.Src0) + ", " + Op(I.Dst) + " = " + Op(I.Src1);
-  case Opcode::Sel:
-    return Out + " " + Pred + ", " + Op(I.Dst) + " = " + Op(I.Src0) + ", " +
-           Op(I.Src1);
-  default:
-    break;
+  if (*Row.Syntax)
+    Out += ' ';
+  for (const char *S = Row.Syntax; *S; ++S) {
+    if (*S == 'P')
+      Out += Pred;
+    else if (int K = syntaxSlot(*S); K >= 0)
+      Out += operandText(*Slots[K], ImmTy, LabelName);
+    else
+      Out += *S;
   }
-
-  Out += " " + Op(I.Dst) + " = " + Op(I.Src0);
-  if (I.Src1.Kind != OperandKind::None)
-    Out += ", " + Op(I.Src1);
-  if (I.Src2.Kind != OperandKind::None)
-    Out += ", " + Op(I.Src2);
   return Out;
 }
 
@@ -262,162 +143,69 @@ static std::string checkRegOperand(const Operand &O, const char *Name,
   return std::string();
 }
 
+/// Checks operand \p O of \p I against slot \p S, the slot numbered \p K
+/// (Dst = 0). Registers of a source are counted in the type it is read in.
+static std::string checkSlot(const Instruction &I, const OperandSlot &S,
+                             const Operand &O, unsigned K) {
+  static const char *const SlotNames[] = {"destination", "first source",
+                                          "second source", "third source"};
+  const ElemType Ty = K == 0 ? I.Ty : immTypeOf(I);
+  switch (S.Role) {
+  case SlotRole::Absent:
+    if (O.Kind == OperandKind::None)
+      return std::string();
+    return formatString("%s takes no %s operand", opcodeName(I.Op),
+                        SlotNames[K]);
+  case SlotRole::Lanes:
+  case SlotRole::Group:
+    if (std::string E = checkRegOperand(O, S.Name, I.Width, Ty, S.Imm);
+        !E.empty())
+      return E;
+    if (S.Role == SlotRole::Lanes && O.regCount() != lanesToRegs(I.Width, Ty))
+      return formatString("%s operand must name one register per lane",
+                          S.Name);
+    return std::string();
+  case SlotRole::Scalar:
+    if (O.Kind == OperandKind::Imm)
+      return S.Imm ? std::string()
+                   : formatString("%s may not be immediate", S.Name);
+    if (O.Kind != OperandKind::Reg || O.Reg1 != O.Reg0)
+      return formatString("%s must be a single register", S.Name);
+    if (O.Reg0 >= NumVRegs)
+      return formatString("%s register out of range", S.Name);
+    return std::string();
+  case SlotRole::Pred:
+    if (O.Kind != OperandKind::Pred)
+      return formatString("%s must be a predicate register", S.Name);
+    if (O.Reg0 >= NumPRegs)
+      return formatString("%s predicate register out of range", S.Name);
+    return std::string();
+  case SlotRole::Surface:
+    if (O.Kind != OperandKind::Surface)
+      return formatString("%s requires a surface operand", S.Name);
+    return std::string();
+  case SlotRole::Label:
+    if (O.Kind != OperandKind::Label)
+      return formatString("%s requires a label operand", S.Name);
+    return std::string();
+  }
+  exochiUnreachable("bad SlotRole");
+}
+
 std::string isa::validate(const Instruction &I) {
   if (I.Width < 1 || I.Width > MaxWidth)
     return formatString("SIMD width %u out of range 1..%u", I.Width, MaxWidth);
   if (I.PredReg != NoPred && I.PredReg >= NumPRegs)
     return formatString("predicate register p%u out of range", I.PredReg);
 
-  auto CheckScalar = [](const Operand &O, const char *Name, bool AllowImm) {
-    if (O.Kind == OperandKind::Imm)
-      return AllowImm ? std::string()
-                      : formatString("%s may not be immediate", Name);
-    if (O.Kind != OperandKind::Reg)
-      return formatString("%s must be a single register", Name);
-    if (O.Reg0 >= NumVRegs)
-      return formatString("%s register out of range", Name);
-    return std::string();
-  };
-
-  switch (I.Op) {
-  case Opcode::Halt:
-  case Opcode::Nop:
-    return std::string();
-
-  case Opcode::Jmp:
-    if (I.Src0.Kind != OperandKind::Label)
-      return "jmp requires a label operand";
-    return std::string();
-
-  case Opcode::Br:
-    if (I.PredReg == NoPred)
-      return "br requires a predicate register";
-    if (I.Src0.Kind != OperandKind::Label)
-      return "br requires a label operand";
-    return std::string();
-
-  case Opcode::Sid:
-    return CheckScalar(I.Dst, "sid destination", /*AllowImm=*/false);
-
-  case Opcode::Wait:
-    return CheckScalar(I.Dst, "wait register", /*AllowImm=*/false);
-
-  case Opcode::Spawn:
-    return CheckScalar(I.Src0, "spawn parameter", /*AllowImm=*/true);
-
-  case Opcode::Xmit: {
-    if (std::string E =
-            CheckScalar(I.Src0, "xmit target shred", /*AllowImm=*/true);
-        !E.empty())
+  const OpInfo &Row = opInfo(I.Op);
+  if (Row.needsPred() && I.PredReg == NoPred)
+    return formatString("%s requires a predicate register", Row.Name);
+  if (Row.Rgba && (I.Width != 4 || I.Ty != ElemType::F32))
+    return formatString("%s must be .4.f (RGBA)", Row.Name);
+  const Operand *Slots[4] = {&I.Dst, &I.Src0, &I.Src1, &I.Src2};
+  for (unsigned K = 0; K < 4; ++K)
+    if (std::string E = checkSlot(I, Row.Slots[K], *Slots[K], K); !E.empty())
       return E;
-    if (std::string E =
-            CheckScalar(I.Dst, "xmit remote register", /*AllowImm=*/false);
-        !E.empty())
-      return E;
-    return CheckScalar(I.Src1, "xmit source", /*AllowImm=*/true);
-  }
-
-  case Opcode::Ld:
-  case Opcode::LdBlk:
-  case Opcode::St:
-  case Opcode::StBlk: {
-    if (std::string E = checkRegOperand(I.Dst, "memory data", I.Width, I.Ty,
-                                        /*AllowImm=*/false);
-        !E.empty())
-      return E;
-    if (I.Dst.regCount() != lanesToRegs(I.Width, I.Ty))
-      return "memory data operand must name one register per lane";
-    if (I.Src0.Kind != OperandKind::Surface)
-      return "memory op requires a surface operand";
-    if (std::string E = CheckScalar(I.Src1, "memory index", /*AllowImm=*/true);
-        !E.empty())
-      return E;
-    bool Is2D = I.Op == Opcode::LdBlk || I.Op == Opcode::StBlk;
-    return CheckScalar(I.Src2, Is2D ? "memory y index" : "memory offset",
-                       /*AllowImm=*/true);
-  }
-
-  case Opcode::Sample: {
-    if (I.Width != 4 || I.Ty != ElemType::F32)
-      return "sample must be .4.f (RGBA)";
-    if (std::string E = checkRegOperand(I.Dst, "sample destination", 4,
-                                        ElemType::F32, /*AllowImm=*/false);
-        !E.empty())
-      return E;
-    if (I.Dst.regCount() != 4)
-      return "sample destination must name 4 registers";
-    if (I.Src0.Kind != OperandKind::Surface)
-      return "sample requires a surface operand";
-    if (std::string E = CheckScalar(I.Src1, "sample u", /*AllowImm=*/true);
-        !E.empty())
-      return E;
-    return CheckScalar(I.Src2, "sample v", /*AllowImm=*/true);
-  }
-
-  case Opcode::Cmp: {
-    if (I.Dst.Kind != OperandKind::Pred)
-      return "cmp destination must be a predicate register";
-    if (I.Dst.Reg0 >= NumPRegs)
-      return "cmp predicate register out of range";
-    if (std::string E =
-            checkRegOperand(I.Src0, "cmp lhs", I.Width, I.Ty, true);
-        !E.empty())
-      return E;
-    return checkRegOperand(I.Src1, "cmp rhs", I.Width, I.Ty, true);
-  }
-
-  case Opcode::Sel: {
-    if (I.PredReg == NoPred)
-      return "sel requires a predicate register";
-    if (std::string E = checkRegOperand(I.Dst, "sel destination", I.Width,
-                                        I.Ty, /*AllowImm=*/false);
-        !E.empty())
-      return E;
-    if (std::string E =
-            checkRegOperand(I.Src0, "sel true source", I.Width, I.Ty, true);
-        !E.empty())
-      return E;
-    return checkRegOperand(I.Src1, "sel false source", I.Width, I.Ty, true);
-  }
-
-  case Opcode::Cvt: {
-    if (std::string E = checkRegOperand(I.Dst, "cvt destination", I.Width,
-                                        I.Ty, /*AllowImm=*/false);
-        !E.empty())
-      return E;
-    if (I.Dst.regCount() != lanesToRegs(I.Width, I.Ty))
-      return "cvt destination must name one register per lane";
-    if (std::string E = checkRegOperand(I.Src0, "cvt source", I.Width,
-                                        I.SrcTy, /*AllowImm=*/true);
-        !E.empty())
-      return E;
-    return std::string();
-  }
-
-  case Opcode::Not:
-  case Opcode::Abs:
-  case Opcode::Mov: {
-    if (std::string E = checkRegOperand(I.Dst, "destination", I.Width, I.Ty,
-                                        /*AllowImm=*/false);
-        !E.empty())
-      return E;
-    if (I.Dst.regCount() != lanesToRegs(I.Width, I.Ty))
-      return "destination must name one register per lane";
-    return checkRegOperand(I.Src0, "source", I.Width, I.Ty, true);
-  }
-
-  default: { // Binary/ternary ALU ops.
-    if (std::string E = checkRegOperand(I.Dst, "destination", I.Width, I.Ty,
-                                        /*AllowImm=*/false);
-        !E.empty())
-      return E;
-    if (I.Dst.regCount() != lanesToRegs(I.Width, I.Ty))
-      return "destination must name one register per lane";
-    if (std::string E =
-            checkRegOperand(I.Src0, "first source", I.Width, I.Ty, true);
-        !E.empty())
-      return E;
-    return checkRegOperand(I.Src1, "second source", I.Width, I.Ty, true);
-  }
-  }
+  return std::string();
 }

@@ -126,10 +126,8 @@ enum class Opcode : uint8_t {
 };
 
 /// Returns the base mnemonic of \p Op (e.g. "add", "cmp", "ldblk").
+/// Everything else about an opcode's form is its row in isa/OpTable.h.
 const char *opcodeName(Opcode Op);
-
-/// True for opcodes whose mnemonic carries `.width.type` suffixes.
-bool opcodeHasWidthType(Opcode Op);
 
 /// Comparison conditions for Cmp (mnemonics cmp.eq, cmp.lt, ...).
 enum class CmpOp : uint8_t { Eq, Ne, Lt, Le, Gt, Ge };
@@ -235,9 +233,10 @@ std::string
 disassemble(const Instruction &I,
             const std::function<std::string(uint32_t)> &LabelName = {});
 
-/// Structural validity check (register ranges in bounds, operand widths
-/// consistent with the SIMD width, operand kinds legal for the opcode).
-/// Returns an empty string when valid, else a diagnostic.
+/// Structural validity check against the opcode's row: register ranges in
+/// bounds, operand widths consistent with the SIMD width, every slot
+/// holding a kind its role allows and every slot the row does not name
+/// empty. Returns an empty string when valid, else a diagnostic.
 std::string validate(const Instruction &I);
 
 } // namespace isa

@@ -6,6 +6,7 @@
 
 #include "xasm/Assembler.h"
 
+#include "isa/OpTable.h"
 #include "support/Format.h"
 #include "support/StringUtils.h"
 
@@ -251,11 +252,9 @@ private:
 };
 
 std::optional<Opcode> opcodeFromName(std::string_view Name) {
-  for (unsigned K = 0; K <= static_cast<unsigned>(Opcode::Nop); ++K) {
-    Opcode Op = static_cast<Opcode>(K);
-    if (Name == opcodeName(Op))
-      return Op;
-  }
+  for (const OpInfo &Row : OpTable)
+    if (Name == Row.Name)
+      return Row.Op;
   return std::nullopt;
 }
 
@@ -358,6 +357,7 @@ Expected<AssembledKernel> xasm::assembleKernel(std::string_view Source,
                                       Parts[0].data()));
     I.Op = *Op;
 
+    const OpInfo &Row = opInfo(I.Op);
     size_t PartIdx = 1;
     if (I.Op == Opcode::Cmp) {
       if (Parts.size() < 2)
@@ -369,7 +369,7 @@ Expected<AssembledKernel> xasm::assembleKernel(std::string_view Source,
       I.Cmp = *C;
       ++PartIdx;
     }
-    if (opcodeHasWidthType(I.Op)) {
+    if (Row.WidthType) {
       if (Parts.size() < PartIdx + 2)
         return Error::make(formatString(
             "line %u: mnemonic needs .width.type suffixes", LineNo));
@@ -382,7 +382,7 @@ Expected<AssembledKernel> xasm::assembleKernel(std::string_view Source,
         return Error::make(formatString("line %u: bad element type", LineNo));
       I.Ty = *Ty;
       PartIdx += 2;
-      if (I.Op == Opcode::Cvt) {
+      if (Row.Src == SrcType::Cvt) {
         if (Parts.size() < PartIdx + 1)
           return Error::make(formatString(
               "line %u: cvt needs .dsttype.srctype suffixes", LineNo));
@@ -398,211 +398,35 @@ Expected<AssembledKernel> xasm::assembleKernel(std::string_view Source,
       return Error::make(
           formatString("line %u: trailing mnemonic suffixes", LineNo));
 
-    // Literal immediates are typed by the source element type (which for
-    // cvt differs from the destination type). Load/store index and offset
-    // immediates are element indices and therefore always integers, even
-    // in float-typed memory ops.
-    ElemType ImmTy = I.Op == Opcode::Cvt ? I.SrcTy : I.Ty;
-    if (I.Op == Opcode::Ld || I.Op == Opcode::St || I.Op == Opcode::LdBlk ||
-        I.Op == Opcode::StBlk)
-      ImmTy = ElemType::I32;
-    LineParser P(Rest, LineNo, Binds, ImmTy);
-
-    auto ParseMemTriple = [&](Operand &Surf, Operand &A,
-                              Operand &B) -> Error {
-      if (!P.consume('('))
-        return P.error("expected '(' opening memory operand");
-      auto S = P.parseOperand();
-      if (!S)
-        return S.takeError();
-      if (S->Kind != OperandKind::Surface)
-        return P.error("first memory operand must be a surface");
-      Surf = *S;
-      if (!P.consume(','))
-        return P.error("expected ',' in memory operand");
-      auto OA = P.parseOperand();
-      if (!OA)
-        return OA.takeError();
-      A = *OA;
-      if (!P.consume(','))
-        return P.error("expected ',' in memory operand");
-      auto OB = P.parseOperand();
-      if (!OB)
-        return OB.takeError();
-      B = *OB;
-      if (!P.consume(')'))
-        return P.error("expected ')' closing memory operand");
-      return Error::success();
-    };
-
-    switch (I.Op) {
-    case Opcode::Halt:
-    case Opcode::Nop:
-      break;
-
-    case Opcode::Jmp: {
-      std::string Label;
-      auto O = P.parseOperand(&Label);
-      if (!O)
-        return O.takeError();
-      if (O->Kind != OperandKind::Label)
-        return Error::make(
-            formatString("line %u: jmp target must be a label", LineNo));
-      I.Src0 = *O;
-      Pending.push_back(
-          {static_cast<uint32_t>(K.Code.size()), Label, LineNo});
-      break;
-    }
-
-    case Opcode::Br: {
-      bool Neg = false;
-      auto PR = P.parsePReg(&Neg);
-      if (!PR)
-        return PR.takeError();
-      I.PredReg = *PR;
-      I.PredNegate = Neg;
-      if (!P.consume(','))
-        return Error::make(
-            formatString("line %u: expected ',' after br predicate", LineNo));
-      std::string Label;
-      auto O = P.parseOperand(&Label);
-      if (!O)
-        return O.takeError();
-      if (O->Kind != OperandKind::Label)
-        return Error::make(
-            formatString("line %u: br target must be a label", LineNo));
-      I.Src0 = *O;
-      Pending.push_back(
-          {static_cast<uint32_t>(K.Code.size()), Label, LineNo});
-      break;
-    }
-
-    case Opcode::Sid:
-    case Opcode::Wait: {
-      auto O = P.parseOperand();
-      if (!O)
-        return O.takeError();
-      I.Dst = *O;
-      break;
-    }
-
-    case Opcode::Spawn: {
-      auto O = P.parseOperand();
-      if (!O)
-        return O.takeError();
-      I.Src0 = *O;
-      break;
-    }
-
-    case Opcode::Xmit: {
-      auto T = P.parseOperand();
-      if (!T)
-        return T.takeError();
-      I.Src0 = *T;
-      if (!P.consume(','))
-        return Error::make(
-            formatString("line %u: expected ',' after xmit target", LineNo));
-      auto D = P.parseOperand();
-      if (!D)
-        return D.takeError();
-      I.Dst = *D;
-      if (!P.consume('='))
-        return Error::make(
-            formatString("line %u: expected '=' in xmit", LineNo));
-      auto S = P.parseOperand();
-      if (!S)
-        return S.takeError();
-      I.Src1 = *S;
-      break;
-    }
-
-    case Opcode::Ld:
-    case Opcode::LdBlk:
-    case Opcode::Sample: {
-      auto D = P.parseOperand();
-      if (!D)
-        return D.takeError();
-      I.Dst = *D;
-      if (!P.consume('='))
-        return Error::make(
-            formatString("line %u: expected '=' in load", LineNo));
-      if (Error E = ParseMemTriple(I.Src0, I.Src1, I.Src2))
-        return E;
-      break;
-    }
-
-    case Opcode::St:
-    case Opcode::StBlk: {
-      if (Error E = ParseMemTriple(I.Src0, I.Src1, I.Src2))
-        return E;
-      if (!P.consume('='))
-        return Error::make(
-            formatString("line %u: expected '=' in store", LineNo));
-      auto D = P.parseOperand();
-      if (!D)
-        return D.takeError();
-      I.Dst = *D;
-      break;
-    }
-
-    case Opcode::Sel: {
-      bool Neg = false;
-      auto PR = P.parsePReg(&Neg);
-      if (!PR)
-        return PR.takeError();
-      I.PredReg = *PR;
-      I.PredNegate = Neg;
-      if (!P.consume(','))
-        return Error::make(
-            formatString("line %u: expected ',' after sel predicate",
-                         LineNo));
-      auto D = P.parseOperand();
-      if (!D)
-        return D.takeError();
-      I.Dst = *D;
-      if (!P.consume('='))
-        return Error::make(
-            formatString("line %u: expected '=' in sel", LineNo));
-      auto S0 = P.parseOperand();
-      if (!S0)
-        return S0.takeError();
-      I.Src0 = *S0;
-      if (!P.consume(','))
-        return Error::make(
-            formatString("line %u: sel needs two sources", LineNo));
-      auto S1 = P.parseOperand();
-      if (!S1)
-        return S1.takeError();
-      I.Src1 = *S1;
-      break;
-    }
-
-    default: { // ALU: DST = SRC0 [, SRC1 [, SRC2]]
-      auto D = P.parseOperand();
-      if (!D)
-        return D.takeError();
-      I.Dst = *D;
-      if (!P.consume('='))
-        return Error::make(
-            formatString("line %u: expected '=' after destination", LineNo));
-      auto S0 = P.parseOperand();
-      if (!S0)
-        return S0.takeError();
-      I.Src0 = *S0;
-      if (P.consume(',')) {
-        auto S1 = P.parseOperand();
-        if (!S1)
-          return S1.takeError();
-        I.Src1 = *S1;
-        if (P.consume(',')) {
-          auto S2 = P.parseOperand();
-          if (!S2)
-            return S2.takeError();
-          I.Src2 = *S2;
-        }
+    // Operands, in the row's syntax.
+    LineParser P(Rest, LineNo, Binds, immTypeOf(I));
+    Operand *Slots[4] = {&I.Dst, &I.Src0, &I.Src1, &I.Src2};
+    for (const char *S = Row.Syntax; *S; ++S) {
+      int Slot = syntaxSlot(*S);
+      if (*S == ' ') {
+        continue;
+      } else if (*S == 'P') {
+        bool Neg = false;
+        auto PR = P.parsePReg(&Neg);
+        if (!PR)
+          return PR.takeError();
+        I.PredReg = *PR;
+        I.PredNegate = Neg;
+      } else if (Slot >= 0) {
+        // An identifier that names nothing is a label where the row wants
+        // one, else an unknown symbol.
+        std::string Label;
+        bool WantsLabel = Row.Slots[Slot].Role == SlotRole::Label;
+        auto O = P.parseOperand(WantsLabel ? &Label : nullptr);
+        if (!O)
+          return O.takeError();
+        *Slots[Slot] = *O;
+        if (O->Kind == OperandKind::Label)
+          Pending.push_back(
+              {static_cast<uint32_t>(K.Code.size()), Label, LineNo});
+      } else if (!P.consume(*S)) {
+        return P.error(formatString("expected '%c' in %s", *S, Row.Name));
       }
-      break;
-    }
     }
 
     if (!P.atEnd())
@@ -630,7 +454,7 @@ Expected<AssembledKernel> xasm::assembleKernel(std::string_view Source,
       return Error::make(
           formatString("line %u: %s", K.Lines[Idx], V.c_str()));
     const Instruction &I = K.Code[Idx];
-    if ((I.Op == Opcode::Jmp || I.Op == Opcode::Br) &&
+    if (I.Src0.Kind == OperandKind::Label &&
         (I.Src0.Imm < 0 ||
          I.Src0.Imm > static_cast<int32_t>(K.Code.size())))
       return Error::make(

@@ -20,8 +20,7 @@ std::string xasm::printKernel(const std::vector<Instruction> &Code,
   for (const auto &[Name, Idx] : Labels)
     NameAt[Idx] = Name;
   for (const Instruction &I : Code)
-    if ((I.Op == Opcode::Jmp || I.Op == Opcode::Br) &&
-        I.Src0.Kind == OperandKind::Label) {
+    if (I.Src0.Kind == OperandKind::Label) {
       uint32_t T = static_cast<uint32_t>(I.Src0.Imm);
       if (!NameAt.count(T))
         NameAt[T] = formatString("L%u", T);

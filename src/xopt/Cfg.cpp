@@ -6,6 +6,8 @@
 
 #include "xopt/Cfg.h"
 
+#include "isa/OpTable.h"
+
 #include <algorithm>
 #include <map>
 #include <set>
@@ -16,118 +18,37 @@ using namespace exochi::xopt;
 
 namespace {
 
-/// Adds the registers named by operand \p O (as used with lane type
-/// \p Ty) to \p Set.
-void addRegs(const Operand &O, ElemType Ty, LocSet &Set) {
-  (void)Ty;
-  if (!O.isReg())
-    return;
-  for (unsigned R = O.Reg0; R <= O.Reg1; ++R)
-    Set.set(R);
-}
-
 constexpr uint32_t Undef = 0xffffffffu;
 
 } // namespace
 
 UseDef xopt::useDef(const Instruction &I) {
+  const OpInfo &Row = opInfo(I.Op);
+  const bool Predicated = I.PredReg != NoPred;
   UseDef UD;
-
-  // Predication reads the predicate register and makes every destination
-  // write partial (merge with the old value).
-  bool PartialDef = I.PredReg != NoPred && I.Op != Opcode::Sel &&
-                    I.Op != Opcode::Br;
-  if (I.PredReg != NoPred)
+  UD.HasSideEffects = Row.SideEffects;
+  if (Predicated)
     UD.Use.set(predLoc(I.PredReg));
 
-  switch (I.Op) {
-  case Opcode::Halt:
-  case Opcode::Nop:
-    UD.HasSideEffects = I.Op == Opcode::Halt;
-    return UD;
-
-  case Opcode::Jmp:
-    UD.HasSideEffects = true;
-    return UD;
-
-  case Opcode::Br:
-    UD.HasSideEffects = true;
-    UD.Use.set(predLoc(I.PredReg));
-    return UD;
-
-  case Opcode::Sid:
-    addRegs(I.Dst, I.Ty, UD.Def);
-    return UD;
-
-  case Opcode::Wait:
-    UD.HasSideEffects = true; // synchronization
-    addRegs(I.Dst, I.Ty, UD.Use);
-    addRegs(I.Dst, I.Ty, UD.Def);
-    return UD;
-
-  case Opcode::Spawn:
-    UD.HasSideEffects = true;
-    addRegs(I.Src0, I.Ty, UD.Use);
-    return UD;
-
-  case Opcode::Xmit:
-    UD.HasSideEffects = true; // writes another shred's registers
-    addRegs(I.Src0, I.Ty, UD.Use);
-    addRegs(I.Src1, I.Ty, UD.Use);
-    return UD;
-
-  case Opcode::Ld:
-  case Opcode::LdBlk:
-    UD.HasSideEffects = true; // may fault (ATR / bounds)
-    addRegs(I.Src1, I.Ty, UD.Use);
-    addRegs(I.Src2, I.Ty, UD.Use);
-    if (PartialDef)
-      addRegs(I.Dst, I.Ty, UD.Use);
-    addRegs(I.Dst, I.Ty, UD.Def);
-    return UD;
-
-  case Opcode::Sample:
-    UD.HasSideEffects = true; // may fault
-    addRegs(I.Src1, I.Ty, UD.Use);
-    addRegs(I.Src2, I.Ty, UD.Use);
-    addRegs(I.Dst, I.Ty, UD.Def);
-    return UD;
-
-  case Opcode::St:
-  case Opcode::StBlk:
-    UD.HasSideEffects = true; // memory write
-    addRegs(I.Dst, I.Ty, UD.Use); // data registers are sources
-    addRegs(I.Src1, I.Ty, UD.Use);
-    addRegs(I.Src2, I.Ty, UD.Use);
-    return UD;
-
-  case Opcode::Cmp:
-    addRegs(I.Src0, I.Ty, UD.Use);
-    addRegs(I.Src1, I.Ty, UD.Use);
-    if (PartialDef)
-      UD.Use.set(predLoc(I.Dst.Reg0));
-    UD.Def.set(predLoc(I.Dst.Reg0));
-    return UD;
-
-  case Opcode::Sel:
-    UD.Use.set(predLoc(I.PredReg));
-    addRegs(I.Src0, I.Ty, UD.Use);
-    addRegs(I.Src1, I.Ty, UD.Use);
-    addRegs(I.Dst, I.Ty, UD.Def);
-    return UD;
-
-  case Opcode::Mac:
-    addRegs(I.Dst, I.Ty, UD.Use); // accumulator
-    [[fallthrough]];
-  default:
-    addRegs(I.Src0, I.Ty, UD.Use);
-    addRegs(I.Src1, I.Ty, UD.Use);
-    addRegs(I.Src2, I.Ty, UD.Use);
-    if (PartialDef)
-      addRegs(I.Dst, I.Ty, UD.Use);
-    addRegs(I.Dst, I.Ty, UD.Def);
-    return UD;
+  auto Add = [](const Operand &O, LocSet &Set) {
+    if (O.Kind == OperandKind::Pred)
+      Set.set(predLoc(O.Reg0));
+    else if (O.isReg())
+      for (unsigned R = O.Reg0; R <= O.Reg1; ++R)
+        Set.set(R);
+  };
+  const Operand *Slots[4] = {&I.Dst, &I.Src0, &I.Src1, &I.Src2};
+  for (unsigned K = 0; K < 4; ++K) {
+    const SlotAccess A = Row.Slots[K].Access;
+    // A masked write leaves the disabled lanes' old value: it reads too.
+    if (A == SlotAccess::Read || A == SlotAccess::ReadWrite ||
+        (A == SlotAccess::Masked && Predicated))
+      Add(*Slots[K], UD.Use);
+    if (A == SlotAccess::Write || A == SlotAccess::ReadWrite ||
+        A == SlotAccess::Masked)
+      Add(*Slots[K], UD.Def);
   }
+  return UD;
 }
 
 std::vector<uint32_t>

@@ -7,6 +7,7 @@
 #include "xopt/Cost.h"
 
 #include "isa/Decoded.h"
+#include "isa/OpTable.h"
 #include "support/Format.h"
 #include "xopt/Cfg.h"
 #include "xopt/Values.h"
@@ -674,34 +675,20 @@ CostReport xopt::analyzeCost(const std::vector<Instruction> &Code,
 }
 
 std::string xopt::costTableMarkdown() {
-  // Enum order of isa::Opcode; a static_assert-like guard is impossible
-  // here, so the table simply enumerates every opcode explicitly and the
-  // cost_test doc check keeps it honest against decodedIssueCycles.
-  static const Opcode Ops[] = {
-      Opcode::Mov,  Opcode::Add,   Opcode::Sub,    Opcode::Mul,
-      Opcode::Mac,  Opcode::Div,   Opcode::Min,    Opcode::Max,
-      Opcode::Avg,  Opcode::Abs,   Opcode::Shl,    Opcode::Shr,
-      Opcode::Asr,  Opcode::And,   Opcode::Or,     Opcode::Xor,
-      Opcode::Not,  Opcode::Sel,   Opcode::Cmp,    Opcode::Cvt,
-      Opcode::Ld,   Opcode::St,    Opcode::LdBlk,  Opcode::StBlk,
-      Opcode::Sample, Opcode::Jmp, Opcode::Br,     Opcode::Sid,
-      Opcode::Xmit, Opcode::Wait,  Opcode::Spawn,  Opcode::Halt,
-      Opcode::Nop};
   std::string S;
   S += "| op | issue cycles (width <= 8) | issue cycles (width > 8) |\n";
   S += "|----|---------------------------|--------------------------|\n";
-  for (Opcode Op : Ops) {
+  for (const isa::OpInfo &Row : isa::OpTable) {
     Instruction I;
-    I.Op = Op;
+    I.Op = Row.Op;
     I.Width = 1;
     double Narrow = isa::decodedIssueCycles(I);
-    if (isa::opcodeHasWidthType(Op)) {
+    if (Row.WidthType) {
       I.Width = 16;
       double Wide = isa::decodedIssueCycles(I);
-      S += formatString("| %s | %g | %g |\n", isa::opcodeName(Op), Narrow,
-                        Wide);
+      S += formatString("| %s | %g | %g |\n", Row.Name, Narrow, Wide);
     } else {
-      S += formatString("| %s | %g | n/a |\n", isa::opcodeName(Op), Narrow);
+      S += formatString("| %s | %g | n/a |\n", Row.Name, Narrow);
     }
   }
   return S;

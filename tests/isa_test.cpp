@@ -2,11 +2,15 @@
 
 #include "isa/Encoding.h"
 #include "isa/Isa.h"
+#include "isa/OpTable.h"
 #include "support/Random.h"
+#include "xasm/Assembler.h"
+#include "xasm/Printer.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 
 using namespace exochi;
 using namespace exochi::isa;
@@ -266,40 +270,93 @@ TEST(EncodingTest, ProgramRoundTrip) {
 }
 
 //===----------------------------------------------------------------------===//
-// Property test: random valid instructions round-trip through the encoder.
+// Property tests over every opcode-table row: random legal instructions
+// validate, print and re-assemble to themselves, and round-trip through
+// the encoder; a kind the row forbids in any slot fails validation.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Generates a random *valid* ALU instruction.
-Instruction randomAluInstruction(Rng &R) {
-  static const Opcode Ops[] = {Opcode::Mov, Opcode::Add, Opcode::Sub,
-                               Opcode::Mul, Opcode::Min, Opcode::Max,
-                               Opcode::And, Opcode::Or,  Opcode::Xor};
-  static const ElemType Tys[] = {ElemType::I8, ElemType::I16, ElemType::I32,
-                                 ElemType::F32};
+/// A register group of \p Count registers (`vrN` when one).
+Operand randomGroup(Rng &R, unsigned Count) {
+  auto Lo = static_cast<uint8_t>(R.nextBelow(NumVRegs - Count + 1));
+  auto Hi = static_cast<uint8_t>(Lo + Count - 1);
+  return Count == 1 ? Operand::reg(Lo) : Operand::regRange(Lo, Hi);
+}
+
+/// A random immediate the assembler can write in type \p Ty. Float-typed
+/// immediates are finite: the assembly syntax has no NaN or infinity.
+Operand randomImm(Rng &R, ElemType Ty) {
+  auto Bits = static_cast<int32_t>(R.next());
+  if (Ty != ElemType::F32 && Ty != ElemType::F64)
+    return Operand::imm(Bits);
+  int Exp = static_cast<int>(R.nextInRange(-40, 40));
+  auto F = static_cast<float>((R.nextDouble() - 0.5) * std::ldexp(1.0, Exp));
+  return Operand::imm(std::bit_cast<int32_t>(F));
+}
+
+/// A random operand legal in slot \p K of \p I under the row's slot \p S.
+/// \p NumInsns bounds label targets (one past the end is legal).
+Operand randomOperand(Rng &R, const Instruction &I, const OperandSlot &S,
+                      unsigned K, unsigned NumInsns) {
+  const ElemType Ty = K == 0 ? I.Ty : immTypeOf(I);
+  const unsigned PerLane = Ty == ElemType::F64 ? 2 : 1;
+  switch (S.Role) {
+  case SlotRole::Absent:
+    return Operand::none();
+  case SlotRole::Lanes:
+    return randomGroup(R, I.Width * PerLane);
+  case SlotRole::Group:
+    if (S.Imm && R.nextBelow(4) == 0)
+      return randomImm(R, Ty);
+    return randomGroup(R, R.nextBelow(3) == 0 ? PerLane : I.Width * PerLane);
+  case SlotRole::Scalar:
+    if (S.Imm && R.nextBelow(3) == 0)
+      return randomImm(R, Ty);
+    return Operand::reg(static_cast<uint8_t>(R.nextBelow(NumVRegs)));
+  case SlotRole::Pred:
+    return Operand::pred(static_cast<uint8_t>(R.nextBelow(NumPRegs)));
+  case SlotRole::Surface:
+    return Operand::surface(static_cast<int32_t>(R.nextBelow(8)));
+  case SlotRole::Label:
+    return Operand::label(static_cast<int32_t>(R.nextBelow(NumInsns + 1)));
+  }
+  return Operand::none();
+}
+
+/// A random valid instruction drawn from any row of the opcode table.
+Instruction randomInstruction(Rng &R, unsigned NumInsns) {
+  const OpInfo &Row = OpTable[R.nextBelow(NumOpcodes)];
   Instruction I;
-  I.Op = Ops[R.nextBelow(std::size(Ops))];
-  I.Ty = Tys[R.nextBelow(std::size(Tys))];
-  I.Width = static_cast<uint8_t>(R.nextInRange(1, 16));
-
-  auto RandRegOperand = [&](unsigned Lanes) {
-    unsigned Lo = static_cast<unsigned>(R.nextBelow(NumVRegs - Lanes + 1));
-    return Lanes == 1 ? Operand::reg(static_cast<uint8_t>(Lo))
-                      : Operand::regRange(static_cast<uint8_t>(Lo),
-                                          static_cast<uint8_t>(Lo + Lanes - 1));
-  };
-
-  I.Dst = RandRegOperand(I.Width);
-  I.Src0 = R.nextBelow(4) == 0 ? Operand::imm(static_cast<int32_t>(R.next()))
-                               : RandRegOperand(I.Width);
-  I.Src1 = R.nextBelow(4) == 0 ? Operand::imm(static_cast<int32_t>(R.next()))
-                               : RandRegOperand(I.Width);
-  if (R.nextBelow(3) == 0) {
+  I.Op = Row.Op;
+  if (Row.WidthType) {
+    I.Width = static_cast<uint8_t>(R.nextInRange(1, MaxWidth));
+    I.Ty = static_cast<ElemType>(R.nextBelow(5));
+    if (Row.Src == SrcType::Cvt)
+      I.SrcTy = static_cast<ElemType>(R.nextBelow(5));
+    if (I.Op == Opcode::Cmp)
+      I.Cmp = static_cast<CmpOp>(R.nextBelow(6));
+  }
+  if (Row.Rgba) {
+    I.Width = 4;
+    I.Ty = ElemType::F32;
+  }
+  if (Row.needsPred() || R.nextBelow(3) == 0) {
     I.PredReg = static_cast<uint8_t>(R.nextBelow(NumPRegs));
     I.PredNegate = R.nextBelow(2) == 0;
   }
+  Operand *Slots[4] = {&I.Dst, &I.Src0, &I.Src1, &I.Src2};
+  for (unsigned K = 0; K < 4; ++K)
+    *Slots[K] = randomOperand(R, I, Row.Slots[K], K, NumInsns);
   return I;
+}
+
+std::vector<Instruction> randomProgram(Rng &R) {
+  unsigned N = static_cast<unsigned>(R.nextInRange(1, 64));
+  std::vector<Instruction> Prog;
+  for (unsigned K = 0; K < N; ++K)
+    Prog.push_back(randomInstruction(R, N));
+  return Prog;
 }
 
 } // namespace
@@ -308,20 +365,72 @@ class EncodingPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EncodingPropertyTest, RandomProgramsRoundTrip) {
   Rng R(GetParam());
-  std::vector<Instruction> Prog;
-  unsigned N = static_cast<unsigned>(R.nextInRange(1, 64));
-  for (unsigned K = 0; K < N; ++K) {
-    Instruction I = randomAluInstruction(R);
+  std::vector<Instruction> Prog = randomProgram(R);
+  for (const Instruction &I : Prog)
     ASSERT_EQ(validate(I), "") << disassemble(I);
-    Prog.push_back(I);
-  }
+
+  // Printed text re-assembles to the same instructions.
+  std::string Text = xasm::printKernel(Prog, {});
+  auto K = xasm::assembleKernel(Text, xasm::SymbolBindings());
+  ASSERT_TRUE(static_cast<bool>(K)) << K.message() << "\n" << Text;
+  ASSERT_EQ(K->Code.size(), Prog.size());
+  for (size_t Idx = 0; Idx < Prog.size(); ++Idx)
+    EXPECT_TRUE(Prog[Idx] == K->Code[Idx])
+        << disassemble(Prog[Idx]) << " re-assembled as "
+        << disassemble(K->Code[Idx]);
+
   auto Bytes = encodeProgram(Prog);
   EXPECT_EQ(Bytes.size(), Prog.size() * InstrBytes);
   auto Back = decodeProgram(Bytes);
   ASSERT_TRUE(static_cast<bool>(Back)) << Back.message();
   ASSERT_EQ(Back->size(), Prog.size());
-  for (size_t K = 0; K < Prog.size(); ++K)
-    EXPECT_TRUE(Prog[K] == (*Back)[K]) << disassemble(Prog[K]);
+  for (size_t Idx = 0; Idx < Prog.size(); ++Idx)
+    EXPECT_TRUE(Prog[Idx] == (*Back)[Idx]) << disassemble(Prog[Idx]);
+}
+
+TEST_P(EncodingPropertyTest, ForbiddenOperandKindsAreRejected) {
+  // One operand of each kind; which a slot accepts is restated here from
+  // the role definitions, independently of validate.
+  const Operand Kinds[] = {Operand::none(),       Operand::reg(1),
+                           Operand::regRange(0, 1), Operand::pred(1),
+                           Operand::imm(1),       Operand::surface(0),
+                           Operand::label(0)};
+  auto Allowed = [](const OperandSlot &S, OperandKind Kind) {
+    switch (S.Role) {
+    case SlotRole::Absent:
+      return Kind == OperandKind::None;
+    case SlotRole::Lanes:
+      return Kind == OperandKind::Reg || Kind == OperandKind::RegRange;
+    case SlotRole::Group:
+      return Kind == OperandKind::Reg || Kind == OperandKind::RegRange ||
+             (S.Imm && Kind == OperandKind::Imm);
+    case SlotRole::Scalar:
+      return Kind == OperandKind::Reg || (S.Imm && Kind == OperandKind::Imm);
+    case SlotRole::Pred:
+      return Kind == OperandKind::Pred;
+    case SlotRole::Surface:
+      return Kind == OperandKind::Surface;
+    case SlotRole::Label:
+      return Kind == OperandKind::Label;
+    }
+    return false;
+  };
+
+  Rng R(GetParam() + 1000);
+  for (const Instruction &Valid : randomProgram(R)) {
+    const OpInfo &Row = opInfo(Valid.Op);
+    for (unsigned K = 0; K < 4; ++K)
+      for (const Operand &O : Kinds) {
+        if (Allowed(Row.Slots[K], O.Kind))
+          continue;
+        Instruction I = Valid;
+        Operand *Slots[4] = {&I.Dst, &I.Src0, &I.Src1, &I.Src2};
+        *Slots[K] = O;
+        EXPECT_NE(validate(I), "")
+            << Row.Name << " slot " << K << " accepted kind "
+            << static_cast<int>(O.Kind);
+      }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EncodingPropertyTest,

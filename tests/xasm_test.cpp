@@ -238,7 +238,22 @@ INSTANTIATE_TEST_SUITE_P(
         DiagCase{"TrailingText", "  halt extra\n", "trailing"},
         DiagCase{"BadRegister", "  mov.1.dw vr999 = 0\n", "bad vector register"},
         DiagCase{"SurfaceOutsideMemOp", "  add.1.dw vr0 = A, 1\n",
-                 "operand must be a register"}),
+                 "operand must be a register"},
+        // Operands no opcode reads, and a sel result that is not one
+        // register per lane.
+        DiagCase{"MovTakesOneSource", "  mov.1.dw vr0 = vr1, vr2\n",
+                 "trailing text"},
+        DiagCase{"NotTakesOneSource", "  not.1.dw vr3 = vr1, 7\n",
+                 "trailing text"},
+        DiagCase{"AddTakesTwoSources", "  add.1.dw vr4 = vr1, vr2, vr9\n",
+                 "trailing text"},
+        DiagCase{"CmpTakesTwoSources", "  cmp.lt.1.dw p1 = vr1, vr2, vr5\n",
+                 "trailing text"},
+        DiagCase{"CvtTakesOneSource", "  cvt.1.f.dw vr6 = vr1, vr2, vr3\n",
+                 "trailing text"},
+        DiagCase{"SelDestinationPerLane",
+                 "  sel.8.dw p1, vr0 = [vr8..vr15], 0\n",
+                 "one register per lane"}),
     [](const ::testing::TestParamInfo<DiagCase> &Info) {
       return Info.param.Name;
     });
