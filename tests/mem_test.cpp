@@ -10,6 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <optional>
+#include <tuple>
+
 using namespace exochi;
 using namespace exochi::mem;
 
@@ -42,6 +47,28 @@ TEST(PhysicalMemoryTest, Word32RoundTrip) {
   PhysAddr A = (F << PageShift) + 128;
   PM.write32(A, 0xdeadbeef);
   EXPECT_EQ(PM.read32(A), 0xdeadbeefu);
+}
+
+TEST(PhysicalMemoryTest, FramesNumberDenselyFromOne) {
+  // Frame 0 is the "null" frame: never handed out, never allocated.
+  PhysicalMemory PM;
+  EXPECT_FALSE(PM.isAllocated(0));
+  EXPECT_EQ(PM.allocatedFrames(), 0u);
+  for (uint64_t K = 1; K <= 300; ++K) {
+    EXPECT_FALSE(PM.isAllocated(K));
+    EXPECT_EQ(PM.allocFrame(), K);
+    EXPECT_TRUE(PM.isAllocated(K));
+    EXPECT_EQ(PM.allocatedFrames(), K);
+  }
+  EXPECT_FALSE(PM.isAllocated(0));
+  EXPECT_FALSE(PM.isAllocated(301));
+  // Growing the frame table leaves earlier frames' data where it was.
+  uint8_t *First = PM.frameData(1);
+  First[7] = 0x5a;
+  for (unsigned K = 0; K < 1000; ++K)
+    (void)PM.allocFrame();
+  EXPECT_EQ(PM.frameData(1), First);
+  EXPECT_EQ(PM.frameData(1)[7], 0x5a);
 }
 
 TEST(Ia32PteTest, EncodeDecode) {
@@ -263,6 +290,96 @@ TEST(TlbTest, InvalidateSingle) {
   EXPECT_FALSE(T.lookup(3).has_value());
   EXPECT_TRUE(T.lookup(4).has_value());
 }
+
+namespace {
+
+/// Reference LRU TLB: a list of (vpn, pte), most recently used first.
+struct LruModel {
+  explicit LruModel(unsigned Capacity) : Capacity(Capacity) {}
+
+  std::list<std::pair<uint64_t, GpuPte>>::iterator find(uint64_t Vpn) {
+    return std::find_if(Entries.begin(), Entries.end(),
+                        [&](const auto &E) { return E.first == Vpn; });
+  }
+  std::optional<GpuPte> lookup(uint64_t Vpn) {
+    auto It = find(Vpn);
+    if (It == Entries.end()) {
+      ++Misses;
+      return std::nullopt;
+    }
+    ++Hits;
+    Entries.splice(Entries.begin(), Entries, It);
+    return It->second;
+  }
+  void insert(uint64_t Vpn, GpuPte Pte) {
+    auto It = find(Vpn);
+    if (It != Entries.end()) {
+      It->second = Pte;
+      Entries.splice(Entries.begin(), Entries, It);
+      return;
+    }
+    if (Entries.size() >= Capacity) {
+      Entries.pop_back();
+      ++Evictions;
+    }
+    Entries.emplace_front(Vpn, Pte);
+  }
+  void invalidate(uint64_t Vpn) {
+    auto It = find(Vpn);
+    if (It != Entries.end())
+      Entries.erase(It);
+  }
+
+  unsigned Capacity;
+  std::list<std::pair<uint64_t, GpuPte>> Entries;
+  uint64_t Hits = 0, Misses = 0, Evictions = 0;
+};
+
+} // namespace
+
+class TlbModelTest
+    : public ::testing::TestWithParam<std::tuple<unsigned, uint64_t>> {};
+
+TEST_P(TlbModelTest, MatchesListLruModel) {
+  auto [Capacity, Seed] = GetParam();
+  Tlb T(Capacity);
+  LruModel M(Capacity);
+  Rng R(Seed);
+  // Twice the capacity plus a few pages, so hits, misses and evictions
+  // all happen.
+  const uint64_t Pages = 2 * Capacity + 3;
+  for (unsigned Step = 0; Step < 20000; ++Step) {
+    uint64_t Vpn = R.nextBelow(Pages);
+    uint64_t Op = R.nextBelow(100);
+    SCOPED_TRACE(testing::Message() << "step " << Step << " vpn " << Vpn);
+    if (Op < 55) {
+      std::optional<GpuPte> Got = T.lookup(Vpn), Want = M.lookup(Vpn);
+      ASSERT_EQ(Got.has_value(), Want.has_value());
+      if (Want) {
+        ASSERT_EQ(Got->Raw, Want->Raw);
+      }
+    } else if (Op < 90) {
+      GpuPte Pte = GpuPte::make(R.nextBelow(1u << 20), R.nextBelow(2) == 0,
+                                GpuMemType::Cached);
+      T.insert(Vpn, Pte);
+      M.insert(Vpn, Pte);
+    } else if (Op < 99) {
+      T.invalidate(Vpn);
+      M.invalidate(Vpn);
+    } else {
+      T.invalidateAll();
+      M.Entries.clear();
+    }
+    ASSERT_EQ(T.hits(), M.Hits);
+    ASSERT_EQ(T.misses(), M.Misses);
+    ASSERT_EQ(T.evictions(), M.Evictions);
+    ASSERT_EQ(T.size(), M.Entries.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, TlbModelTest,
+                         ::testing::Combine(::testing::Values(1u, 2u, 256u),
+                                            ::testing::Values(1u, 2u, 3u)));
 
 TEST(MemoryBusTest, LatencyPlusBandwidth) {
   MemoryBusParams P;
