@@ -202,14 +202,14 @@ struct GmaDevice::PendingOp {
   uint64_t Seq = 0;    ///< per-EU issue sequence (sort tiebreaker)
   uint32_t NextPc = 0; ///< pc after the op completes
 
-  isa::Instruction Instr; ///< Memory / Sampler / Exception payload
+  /// Memory / Sampler / Exception: the issuing instruction, in its
+  /// kernel image (the KernelTable never moves or frees an image).
+  const isa::Instruction *Instr = nullptr;
   ExceptionKind Exc = ExceptionKind::UnsupportedType;
   uint32_t Target = 0; ///< Xmit: destination shred id
   uint32_t Value = 0;  ///< Xmit: value; Spawn: child parameter
   uint8_t Reg = 0;     ///< Xmit / Wait register
   TimeNs EndNs = 0;    ///< Retire: span end time
-  uint32_t SpawnKernel = 0;
-  std::shared_ptr<const SurfaceTable> SpawnSurfaces;
 };
 
 /// One execution unit with its four thread contexts. The advance phase
@@ -282,7 +282,7 @@ GmaDevice::GmaDevice(const GmaConfig &Config, mem::PhysicalMemory &PM,
                      mem::MemoryBus &Bus,
                      std::shared_ptr<KernelTable> SharedKernels,
                      unsigned DeviceIndex)
-    : Config(Config), PM(PM), Bus(Bus),
+    : Config(Config), CycleNs(Config.cycleNs()), PM(PM), Bus(Bus),
       Cache(Config.CacheBytes, Config.CacheLineBytes, Config.CacheWays),
       DeviceTlb(Config.TlbEntriesPerEu * Config.NumEus),
       Kernels(SharedKernels ? std::move(SharedKernels)
@@ -431,9 +431,9 @@ Expected<bool> GmaDevice::refillContext(Eu &E) {
     // Section 3.4): the firmware fetches it through the same translated
     // path as data, so descriptor pages take ATR misses like any other.
     uint64_t Bytes = C.Desc.Params.size() * 4;
-    auto Acc = accessMemoryAt(E.Time, C, C.Desc.RecordVa, Bytes,
-                              /*IsWrite=*/false, mem::GpuMemType::Cached);
-    if (!Acc) {
+    auto Done = accessMemoryAt(E.Time, C, C.Desc.RecordVa, Bytes,
+                               /*IsWrite=*/false, mem::GpuMemType::Cached);
+    if (!Done) {
       if (injectionArmed()) {
         // Survive an injected descriptor-fetch fault: send the shred back
         // through the re-dispatch ladder (bounded by MaxShredRedispatch,
@@ -443,17 +443,13 @@ Expected<bool> GmaDevice::refillContext(Eu &E) {
         return true;
       }
       return Error::make("shred descriptor fetch failed: " +
-                         Acc.message());
+                         Done.message());
     }
     std::vector<uint8_t> Buf(Bytes);
-    uint64_t Ofs = 0;
-    for (auto &[Pa, N] : Acc->Segments) {
-      PM.read(Pa, Buf.data() + Ofs, N);
-      Ofs += N;
-    }
+    readSegments(Buf.data());
     for (size_t K = 0; K < C.Desc.Params.size() && K < NumVRegs; ++K)
       std::memcpy(&C.Regs[K], Buf.data() + K * 4, 4);
-    C.StallUntil = std::max(C.StallUntil, Acc->Done);
+    C.StallUntil = std::max(C.StallUntil, *Done);
   } else {
     for (size_t K = 0; K < C.Desc.Params.size() && K < NumVRegs; ++K)
       C.Regs[K] = static_cast<uint32_t>(C.Desc.Params[K]);
@@ -494,11 +490,11 @@ GmaDevice::Context *GmaDevice::pickReadyContext(Eu &E) {
   return nullptr;
 }
 
-Expected<GmaDevice::MemAccess>
-GmaDevice::accessMemoryAt(TimeNs Now, Context &Ctx, mem::VirtAddr Va,
-                          uint64_t Bytes, bool IsWrite,
-                          mem::GpuMemType MemType) {
-  MemAccess Out;
+Expected<TimeNs> GmaDevice::accessMemoryAt(TimeNs Now, Context &Ctx,
+                                           mem::VirtAddr Va, uint64_t Bytes,
+                                           bool IsWrite,
+                                           mem::GpuMemType MemType) {
+  AccessSegments.clear();
   ++Stats.MemoryOps;
 
   uint64_t Remaining = Bytes;
@@ -533,7 +529,7 @@ GmaDevice::accessMemoryAt(TimeNs Now, Context &Ctx, mem::VirtAddr Va,
           static_cast<unsigned long long>(Cur)));
 
     mem::PhysAddr Pa = (Pte->frame() << mem::PageShift) | mem::pageOffset(Cur);
-    Out.Segments.push_back({Pa, Chunk});
+    AccessSegments.push_back({Pa, Chunk});
 
     // Timing. Loads through the shared cache stall the issuing context
     // (hits briefly, misses for a DRAM round trip); stores drain through
@@ -584,8 +580,21 @@ GmaDevice::accessMemoryAt(TimeNs Now, Context &Ctx, mem::VirtAddr Va,
     Stats.BytesStored += Bytes;
   else
     Stats.BytesLoaded += Bytes;
-  Out.Done = Now;
-  return Out;
+  return Now;
+}
+
+void GmaDevice::readSegments(uint8_t *Dst) const {
+  for (auto &[Pa, N] : AccessSegments) {
+    PM.read(Pa, Dst, N);
+    Dst += N;
+  }
+}
+
+void GmaDevice::writeSegments(const uint8_t *Src) {
+  for (auto &[Pa, N] : AccessSegments) {
+    PM.write(Pa, Src, N);
+    Src += N;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -619,7 +628,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
   const isa::DecodedInsn &DI = Ctx.Dec->Insns[Ctx.Pc];
   ++E.ShardInstructions;
   E.ShardIssueCycles += DI.IssueCycles;
-  E.Time += DI.IssueCycles * Config.cycleNs();
+  E.Time += DI.IssueCycles * CycleNs;
   E.ShardFinishNs = std::max(E.ShardFinishNs, E.Time);
 
   uint32_t NextPc = Ctx.Pc + 1;
@@ -629,7 +638,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
   auto RaiseException = [&](ExceptionKind Kind) {
     PendingOp Op;
     Op.K = PendingOp::Kind::Exception;
-    Op.Instr = I;
+    Op.Instr = &I;
     Op.Exc = Kind;
     Defer(std::move(Op), NextPc);
     Ctx.St = Context::State::Blocked;
@@ -712,8 +721,6 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
     PendingOp Op;
     Op.K = PendingOp::Kind::Spawn;
     Op.Value = static_cast<uint32_t>(ScalarVal(DI.Src0));
-    Op.SpawnKernel = Ctx.KernelId;
-    Op.SpawnSurfaces = Ctx.Surfaces;
     Defer(std::move(Op), NextPc);
     break;
   }
@@ -854,7 +861,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
 
     PendingOp Op;
     Op.K = PendingOp::Kind::Memory;
-    Op.Instr = I;
+    Op.Instr = &I;
     Defer(std::move(Op), NextPc);
     Ctx.St = Context::State::Blocked;
     return;
@@ -870,7 +877,7 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
 
     PendingOp Op;
     Op.K = PendingOp::Kind::Sampler;
-    Op.Instr = I;
+    Op.Instr = &I;
     Defer(std::move(Op), NextPc);
     Ctx.St = Context::State::Blocked;
     return;
@@ -953,16 +960,26 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
 
 void GmaDevice::advanceEu(Eu &E, TimeNs Horizon) {
   while (true) {
-    TimeNs T = std::numeric_limits<TimeNs>::infinity();
-    for (Context &C : E.Contexts)
-      if (C.St == Context::State::Running)
-        T = std::min(T, std::max(E.Time, C.StallUntil));
-    if (T > Horizon) // also covers "no runnable context" (T = inf)
-      return;
-
-    E.Time = T;
-    Context *Ctx = pickReadyContext(E);
-    assert(Ctx && "EU advanced to a time with no ready context");
+    // Switch-on-stall: while the last-issued context is still ready, the
+    // scan below would choose it at E.Time, so only a stall pays for it.
+    Context *Ctx = E.LastIssued >= 0
+                       ? &E.Contexts[static_cast<unsigned>(E.LastIssued)]
+                       : nullptr;
+    if (Ctx && Ctx->St == Context::State::Running &&
+        Ctx->StallUntil <= E.Time) {
+      if (E.Time > Horizon)
+        return;
+    } else {
+      TimeNs T = std::numeric_limits<TimeNs>::infinity();
+      for (Context &C : E.Contexts)
+        if (C.St == Context::State::Running)
+          T = std::min(T, std::max(E.Time, C.StallUntil));
+      if (T > Horizon) // also covers "no runnable context" (T = inf)
+        return;
+      E.Time = T;
+      Ctx = pickReadyContext(E);
+      assert(Ctx && "EU advanced to a time with no ready context");
+    }
 
     if (Hook_) {
       StepAction A = Hook_(Ctx->ShredId, Ctx->KernelId, Ctx->Pc);
@@ -983,7 +1000,7 @@ void GmaDevice::advanceEu(Eu &E, TimeNs Horizon) {
 //===----------------------------------------------------------------------===//
 
 Error GmaDevice::resolveLoadStore(Eu &E, Context &Ctx, const PendingOp &Op) {
-  const Instruction &I = Op.Instr;
+  const Instruction &I = *Op.Instr;
   const SurfaceBinding &S = (*Ctx.Surfaces)[static_cast<size_t>(I.Src0.Imm)];
   unsigned Esz = elemTypeSize(I.Ty);
   bool IsWrite = I.Op == Opcode::St || I.Op == Opcode::StBlk;
@@ -1024,26 +1041,13 @@ Error GmaDevice::resolveLoadStore(Eu &E, Context &Ctx, const PendingOp &Op) {
   mem::VirtAddr Va = S.Base + static_cast<uint64_t>(FirstElem) * Esz;
   uint64_t Span = static_cast<uint64_t>(I.Width) * Esz;
 
-  auto Acc = accessMemoryAt(Op.IssueNs, Ctx, Va, Span, IsWrite, S.MemType);
-  if (!Acc)
-    return Acc.takeError();
+  auto Done = accessMemoryAt(Op.IssueNs, Ctx, Va, Span, IsWrite, S.MemType);
+  if (!Done)
+    return Done.takeError();
 
-  // Functional data movement over the returned physical segments.
-  std::vector<uint8_t> Buf(Span);
-  auto ReadSegs = [&] {
-    uint64_t Ofs = 0;
-    for (auto &[Pa, N] : Acc->Segments) {
-      PM.read(Pa, Buf.data() + Ofs, N);
-      Ofs += N;
-    }
-  };
-  auto WriteSegs = [&] {
-    uint64_t Ofs = 0;
-    for (auto &[Pa, N] : Acc->Segments) {
-      PM.write(Pa, Buf.data() + Ofs, N);
-      Ofs += N;
-    }
-  };
+  // Functional data movement over the access's physical segments.
+  uint8_t Buf[MaxWidth * 8];
+  assert(Span <= sizeof(Buf) && "access wider than 16 lanes of 8 bytes");
 
   if (IsWrite) {
     bool AnyMasked = false;
@@ -1051,7 +1055,7 @@ Error GmaDevice::resolveLoadStore(Eu &E, Context &Ctx, const PendingOp &Op) {
       if (!LaneEnabled(L))
         AnyMasked = true;
     if (AnyMasked)
-      ReadSegs(); // read-modify-write under predication
+      readSegments(Buf); // read-modify-write under predication
     for (unsigned L = 0; L < I.Width; ++L) {
       if (!LaneEnabled(L))
         continue;
@@ -1060,22 +1064,22 @@ Error GmaDevice::resolveLoadStore(Eu &E, Context &Ctx, const PendingOp &Op) {
             static_cast<uint64_t>(Ctx.Regs[laneReg(I.Dst, L, I.Ty)]) |
             (static_cast<uint64_t>(Ctx.Regs[laneReg(I.Dst, L, I.Ty) + 1])
              << 32);
-        std::memcpy(Buf.data() + L * Esz, &Wide, 8);
+        std::memcpy(Buf + L * Esz, &Wide, 8);
       } else {
         // Store the low Esz bytes (two's complement truncation).
         uint32_t U = static_cast<uint32_t>(ReadIntLane(I.Dst, L));
-        std::memcpy(Buf.data() + L * Esz, &U, Esz);
+        std::memcpy(Buf + L * Esz, &U, Esz);
       }
     }
-    WriteSegs();
+    writeSegments(Buf);
   } else {
-    ReadSegs();
+    readSegments(Buf);
     for (unsigned L = 0; L < I.Width; ++L) {
       if (!LaneEnabled(L))
         continue;
       if (I.Ty == ElemType::F64) {
         uint64_t Wide = 0;
-        std::memcpy(&Wide, Buf.data() + L * Esz, 8);
+        std::memcpy(&Wide, Buf + L * Esz, 8);
         Ctx.Regs[laneReg(I.Dst, L, I.Ty)] = static_cast<uint32_t>(Wide);
         Ctx.Regs[laneReg(I.Dst, L, I.Ty) + 1] =
             static_cast<uint32_t>(Wide >> 32);
@@ -1083,15 +1087,15 @@ Error GmaDevice::resolveLoadStore(Eu &E, Context &Ctx, const PendingOp &Op) {
         int64_t V = 0;
         if (I.Ty == ElemType::I8) {
           int8_t B;
-          std::memcpy(&B, Buf.data() + L * Esz, 1);
+          std::memcpy(&B, Buf + L * Esz, 1);
           V = B;
         } else if (I.Ty == ElemType::I16) {
           int16_t W;
-          std::memcpy(&W, Buf.data() + L * Esz, 2);
+          std::memcpy(&W, Buf + L * Esz, 2);
           V = W;
         } else {
           int32_t D;
-          std::memcpy(&D, Buf.data() + L * Esz, 4);
+          std::memcpy(&D, Buf + L * Esz, 4);
           V = D;
         }
         WriteIntLane(I.Dst, L, V);
@@ -1099,7 +1103,7 @@ Error GmaDevice::resolveLoadStore(Eu &E, Context &Ctx, const PendingOp &Op) {
     }
   }
 
-  Ctx.StallUntil = Acc->Done;
+  Ctx.StallUntil = *Done;
   Stats.FinishNs = std::max(Stats.FinishNs, Ctx.StallUntil);
   Ctx.Pc = Op.NextPc;
   Ctx.St = Context::State::Running;
@@ -1108,7 +1112,7 @@ Error GmaDevice::resolveLoadStore(Eu &E, Context &Ctx, const PendingOp &Op) {
 }
 
 Error GmaDevice::resolveSample(Eu &E, Context &Ctx, const PendingOp &Op) {
-  const Instruction &I = Op.Instr;
+  const Instruction &I = *Op.Instr;
   const SurfaceBinding &S = (*Ctx.Surfaces)[static_cast<size_t>(I.Src0.Imm)];
   ++Stats.SamplerOps;
 
@@ -1140,18 +1144,14 @@ Error GmaDevice::resolveSample(Eu &E, Context &Ctx, const PendingOp &Op) {
     mem::VirtAddr Va =
         S.Base + (static_cast<uint64_t>(Y) * S.Width + X0) * 4;
     uint64_t Span = X1 > X0 ? 8 : 4;
-    auto Acc =
+    auto RowDone =
         accessMemoryAt(Op.IssueNs, Ctx, Va, Span, /*IsWrite=*/false,
                        S.MemType);
-    if (!Acc)
-      return Acc.takeError();
-    Done = std::max(Done, Acc->Done);
+    if (!RowDone)
+      return RowDone.takeError();
+    Done = std::max(Done, *RowDone);
     uint8_t Tmp[8] = {};
-    uint64_t Ofs = 0;
-    for (auto &[Pa, N] : Acc->Segments) {
-      PM.read(Pa, Tmp + Ofs, N);
-      Ofs += N;
-    }
+    readSegments(Tmp);
     std::memcpy(&Texels[Row * 2 + 0], Tmp, 4);
     std::memcpy(&Texels[Row * 2 + 1], Span == 8 ? Tmp + 4 : Tmp, 4);
   }
@@ -1295,7 +1295,7 @@ Error GmaDevice::resolveOne(const PendingOp &Op) {
     Info.ShredId = Ctx.ShredId;
     Info.KernelId = Ctx.KernelId;
     Info.Pc = Ctx.Pc;
-    Info.Instr = Op.Instr;
+    Info.Instr = *Op.Instr;
     ++Stats.ProxyCalls;
     auto Latency = Proxy->onException(Info, Ctx);
     if (!Latency) {
@@ -1374,9 +1374,11 @@ Error GmaDevice::resolveOne(const PendingOp &Op) {
   }
 
   case PendingOp::Kind::Spawn: {
+    // The spawning shred is still resident in Ctx: a context changes
+    // shred only at refill, after every op of the round has resolved.
     ShredDescriptor Child;
-    Child.KernelId = Op.SpawnKernel;
-    Child.Surfaces = Op.SpawnSurfaces;
+    Child.KernelId = Ctx.KernelId;
+    Child.Surfaces = Ctx.Surfaces;
     Child.Params.push_back(static_cast<int32_t>(Op.Value));
     Queue.push_back(std::move(Child));
     return Error::success();
@@ -1409,10 +1411,11 @@ Error GmaDevice::resolvePending() {
   if (Total == 0)
     return Error::success();
 
-  std::vector<PendingOp> Ops;
+  std::vector<PendingOp> &Ops = Resolving;
+  Ops.clear();
   Ops.reserve(Total);
   for (auto &E : Eus) {
-    std::move(E->Pending.begin(), E->Pending.end(), std::back_inserter(Ops));
+    Ops.insert(Ops.end(), E->Pending.begin(), E->Pending.end());
     E->Pending.clear();
   }
 

@@ -289,20 +289,20 @@ private:
   /// (ProxySignalHandler::onShredOrphaned) and books its stats/latency.
   Error hostRedispatch(ShredDescriptor Desc, uint32_t ShredId, TimeNs Now);
 
-  /// Result of a translated, timed memory access: physical segments (in
-  /// address order, covering the virtual span) and the completion time.
-  struct MemAccess {
-    TimeNs Done = 0;
-    std::vector<std::pair<mem::PhysAddr, uint64_t>> Segments;
-  };
-
   /// Translates and times a virtual span through the device TLB starting
-  /// at \p Now, raising ATR proxy requests on misses. The caller performs
-  /// the functional data movement over the returned physical segments and
-  /// stalls the context until the completion time. Refill/resolve phases only.
-  Expected<MemAccess> accessMemoryAt(TimeNs Now, Context &Ctx,
-                                     mem::VirtAddr Va, uint64_t Bytes,
-                                     bool IsWrite, mem::GpuMemType MemType);
+  /// at \p Now, raising ATR proxy requests on misses, and returns the
+  /// completion time. The span's physical segments are left in
+  /// AccessSegments; the caller moves the data with readSegments or
+  /// writeSegments and stalls the context until the completion time.
+  /// Refill/resolve phases only.
+  Expected<TimeNs> accessMemoryAt(TimeNs Now, Context &Ctx, mem::VirtAddr Va,
+                                  uint64_t Bytes, bool IsWrite,
+                                  mem::GpuMemType MemType);
+
+  /// Functional data movement over the last access's segments, in
+  /// address order.
+  void readSegments(uint8_t *Dst) const;
+  void writeSegments(const uint8_t *Src);
 
   /// Applies one buffered op (resolve phase).
   Error resolveOne(const PendingOp &Op);
@@ -316,6 +316,7 @@ private:
   Error resolveSample(Eu &E, Context &Ctx, const PendingOp &Op);
 
   GmaConfig Config;
+  const TimeNs CycleNs; ///< Config.cycleNs(), hoisted off the issue path
   mem::PhysicalMemory &PM;
   mem::MemoryBus &Bus;
   mem::CacheModel Cache;
@@ -339,6 +340,15 @@ private:
 
   std::vector<std::unique_ptr<Eu>> Eus;
   GmaRunStats Stats;
+
+  /// Physical (address, bytes) segments of the last accessMemoryAt,
+  /// covering its virtual span in order. Reused so an access allocates
+  /// nothing.
+  std::vector<std::pair<mem::PhysAddr, uint64_t>> AccessSegments;
+
+  /// Every EU's buffered ops in arbitration order, rebuilt by each
+  /// resolvePending (kept to reuse its storage).
+  std::vector<PendingOp> Resolving;
 
   /// Cross-shred register mailbox for xmit to non-resident targets:
   /// shred id -> (reg, value) pairs, applied in one lookup at dispatch.

@@ -201,6 +201,8 @@ std::string isa::validate(const Instruction &I) {
   const OpInfo &Row = opInfo(I.Op);
   if (Row.needsPred() && I.PredReg == NoPred)
     return formatString("%s requires a predicate register", Row.Name);
+  if (I.PredReg != NoPred && !Row.needsPred() && !Row.LaneMask)
+    return formatString("%s takes no predicate prefix", Row.Name);
   if (Row.Rgba && (I.Width != 4 || I.Ty != ElemType::F32))
     return formatString("%s must be .4.f (RGBA)", Row.Name);
   const Operand *Slots[4] = {&I.Dst, &I.Src0, &I.Src1, &I.Src2};

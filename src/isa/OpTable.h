@@ -85,6 +85,10 @@ struct OpInfo {
   /// Effects beyond the register writes (memory, control flow, thread
   /// ops, possible faults): dead-code elimination must keep it.
   bool SideEffects;
+  /// Both backends mask the instruction's lanes by a `(pN)` prefix;
+  /// validate rejects the prefix on every other row, where it would be
+  /// silently ignored.
+  bool LaneMask;
   /// Issue cost in EU cycles at width <= 8; doubled above for
   /// `.width.type` opcodes.
   double IssueCycles;
@@ -127,13 +131,13 @@ constexpr OperandSlot label(const char *Name) {
 }
 
 constexpr OpInfo unary(Opcode Op, const char *Name, double Cycles) {
-  return {Op, Name, true, SrcType::Insn, "D = 0", false, Cycles,
+  return {Op, Name, true, SrcType::Insn, "D = 0", false, true, Cycles,
           {lanes("destination", SlotAccess::Masked), group("source"), {}, {}}};
 }
 
 constexpr OpInfo binary(Opcode Op, const char *Name, double Cycles,
                         SlotAccess Dst = SlotAccess::Masked) {
-  return {Op, Name, true, SrcType::Insn, "D = 0, 1", false, Cycles,
+  return {Op, Name, true, SrcType::Insn, "D = 0, 1", false, true, Cycles,
           {lanes("destination", Dst), group("first source"),
            group("second source"), {}}};
 }
@@ -141,7 +145,7 @@ constexpr OpInfo binary(Opcode Op, const char *Name, double Cycles,
 /// ld/st/ldblk/stblk: Dst holds the data, read by stores.
 constexpr OpInfo memory(Opcode Op, const char *Name, const char *Syntax,
                         SlotAccess Data, const char *Second) {
-  return {Op, Name, true, SrcType::I32, Syntax, true, 2,
+  return {Op, Name, true, SrcType::I32, Syntax, true, true, 2,
           {lanes("memory data", Data), surface("memory op"),
            scalarIn("memory index"), scalarIn(Second)}};
 }
@@ -167,13 +171,13 @@ inline constexpr OpInfo OpTable[] = {
     rows::binary(Opcode::Or, "or", 0.5),
     rows::binary(Opcode::Xor, "xor", 0.5),
     rows::unary(Opcode::Not, "not", 0.5),
-    {Opcode::Sel, "sel", true, SrcType::Insn, "P, D = 0, 1", false, 0.5,
+    {Opcode::Sel, "sel", true, SrcType::Insn, "P, D = 0, 1", false, false, 0.5,
      {rows::lanes("sel destination", SlotAccess::Write),
       rows::group("sel true source"), rows::group("sel false source"), {}}},
-    {Opcode::Cmp, "cmp", true, SrcType::Insn, "D = 0, 1", false, 1,
+    {Opcode::Cmp, "cmp", true, SrcType::Insn, "D = 0, 1", false, true, 1,
      {{SlotRole::Pred, SlotAccess::Masked, false, "cmp destination"},
       rows::group("cmp lhs"), rows::group("cmp rhs"), {}}},
-    {Opcode::Cvt, "cvt", true, SrcType::Cvt, "D = 0", false, 1,
+    {Opcode::Cvt, "cvt", true, SrcType::Cvt, "D = 0", false, true, 1,
      {rows::lanes("cvt destination", SlotAccess::Masked),
       rows::group("cvt source"), {}, {}}},
     rows::memory(Opcode::Ld, "ld", "D = (0, 1, 2)", SlotAccess::Masked,
@@ -184,28 +188,29 @@ inline constexpr OpInfo OpTable[] = {
                  "memory y index"),
     rows::memory(Opcode::StBlk, "stblk", "(0, 1, 2) = D", SlotAccess::Read,
                  "memory y index"),
-    {Opcode::Sample, "sample", true, SrcType::Insn, "D = (0, 1, 2)", true, 2,
+    {Opcode::Sample, "sample", true, SrcType::Insn, "D = (0, 1, 2)", true,
+     false, 2,
      {rows::lanes("sample destination", SlotAccess::Write),
       rows::surface("sample"), rows::scalarIn("sample u"),
       rows::scalarIn("sample v")},
      /*Rgba=*/true},
-    {Opcode::Jmp, "jmp", false, SrcType::I32, "0", true, 1,
+    {Opcode::Jmp, "jmp", false, SrcType::I32, "0", true, false, 1,
      {{}, rows::label("jmp"), {}, {}}},
-    {Opcode::Br, "br", false, SrcType::I32, "P, 0", true, 1,
+    {Opcode::Br, "br", false, SrcType::I32, "P, 0", true, false, 1,
      {{}, rows::label("br"), {}, {}}},
-    {Opcode::Sid, "sid", false, SrcType::I32, "D", false, 1,
+    {Opcode::Sid, "sid", false, SrcType::I32, "D", false, false, 1,
      {rows::scalar("sid destination", SlotAccess::Write, false), {}, {}, {}}},
-    {Opcode::Xmit, "xmit", false, SrcType::I32, "0, D = 1", true, 1,
+    {Opcode::Xmit, "xmit", false, SrcType::I32, "0, D = 1", true, false, 1,
      {rows::scalar("xmit remote register", SlotAccess::None, false),
       rows::scalarIn("xmit target shred"), rows::scalarIn("xmit source"),
       {}}},
-    {Opcode::Wait, "wait", false, SrcType::I32, "D", true, 1,
+    {Opcode::Wait, "wait", false, SrcType::I32, "D", true, false, 1,
      {rows::scalar("wait register", SlotAccess::ReadWrite, false), {}, {},
       {}}},
-    {Opcode::Spawn, "spawn", false, SrcType::I32, "0", true, 1,
+    {Opcode::Spawn, "spawn", false, SrcType::I32, "0", true, false, 1,
      {{}, rows::scalarIn("spawn parameter"), {}, {}}},
-    {Opcode::Halt, "halt", false, SrcType::I32, "", true, 1, {}},
-    {Opcode::Nop, "nop", false, SrcType::I32, "", false, 1, {}},
+    {Opcode::Halt, "halt", false, SrcType::I32, "", true, false, 1, {}},
+    {Opcode::Nop, "nop", false, SrcType::I32, "", false, false, 1, {}},
 };
 
 /// Number of opcodes (rows); opcode bytes at or above it are invalid.

@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 namespace exochi {
 namespace mem {
@@ -38,40 +38,39 @@ constexpr uint64_t pageNumber(uint64_t A) { return A >> PageShift; }
 /// Returns the offset of \p A within its page.
 constexpr uint64_t pageOffset(uint64_t A) { return A & PageOffsetMask; }
 
-/// Sparse simulated physical memory.
+/// Simulated physical memory.
 ///
 /// Frames are allocated on demand by allocFrame() and are zero-filled.
 /// Accessing an unallocated frame is a programmatic error (assert): every
 /// physical access in the simulator must go through an allocated mapping.
 class PhysicalMemory {
 public:
-  PhysicalMemory() = default;
+  PhysicalMemory() : Frames(1) {}
   PhysicalMemory(const PhysicalMemory &) = delete;
   PhysicalMemory &operator=(const PhysicalMemory &) = delete;
 
   /// Allocates a fresh zero-filled frame and returns its frame number.
   uint64_t allocFrame() {
-    uint64_t Frame = NextFrame++;
-    Frames.emplace(Frame, std::make_unique<Page>());
-    return Frame;
+    Frames.push_back(std::make_unique<Page>());
+    return Frames.size() - 1;
   }
 
   /// Returns true when \p Frame has been allocated.
-  bool isAllocated(uint64_t Frame) const { return Frames.count(Frame) != 0; }
+  bool isAllocated(uint64_t Frame) const {
+    return Frame != 0 && Frame < Frames.size();
+  }
 
   /// Returns the number of allocated frames.
-  uint64_t allocatedFrames() const { return Frames.size(); }
+  uint64_t allocatedFrames() const { return Frames.size() - 1; }
 
   /// Raw pointer to the 4 KiB of data backing \p Frame.
   uint8_t *frameData(uint64_t Frame) {
-    auto It = Frames.find(Frame);
-    assert(It != Frames.end() && "access to unallocated physical frame");
-    return It->second->Bytes;
+    assert(isAllocated(Frame) && "access to unallocated physical frame");
+    return Frames[Frame]->Bytes;
   }
   const uint8_t *frameData(uint64_t Frame) const {
-    auto It = Frames.find(Frame);
-    assert(It != Frames.end() && "access to unallocated physical frame");
-    return It->second->Bytes;
+    assert(isAllocated(Frame) && "access to unallocated physical frame");
+    return Frames[Frame]->Bytes;
   }
 
   /// Copies \p Size bytes at physical address \p A into \p Out. The range
@@ -120,8 +119,9 @@ private:
     uint8_t Bytes[PageSize] = {};
   };
 
-  std::unordered_map<uint64_t, std::unique_ptr<Page>> Frames;
-  uint64_t NextFrame = 1; // frame 0 is reserved as "null"
+  /// Indexed by frame number. Frames number densely from 1 and are never
+  /// freed; slot 0 stays empty because frame 0 is reserved as "null".
+  std::vector<std::unique_ptr<Page>> Frames;
 };
 
 } // namespace mem

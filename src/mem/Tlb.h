@@ -16,81 +16,98 @@
 
 #include "mem/PageTable.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 namespace exochi {
 namespace mem {
 
 /// Fully-associative, LRU-replacement translation lookaside buffer keyed
-/// by virtual page number, holding GPU-format entries.
+/// by virtual page number, holding GPU-format entries. Each entry is
+/// stamped with the clock of its last use, so a hit only restamps it, and
+/// an eviction scans for the oldest stamp. The entries sit in one dense
+/// array because a cold TLB on a large working set evicts on nearly every
+/// miss.
 class Tlb {
 public:
   explicit Tlb(unsigned Capacity) : Capacity(Capacity) {}
 
-  /// Looks up \p Vpn; refreshes LRU position on hit.
+  /// Looks up \p Vpn; refreshes its LRU stamp on hit.
   std::optional<GpuPte> lookup(uint64_t Vpn) {
-    auto It = Map.find(Vpn);
-    if (It == Map.end()) {
+    auto It = Slots.find(Vpn);
+    if (It == Slots.end()) {
       ++NumMisses;
       return std::nullopt;
     }
     ++NumHits;
-    Lru.splice(Lru.begin(), Lru, It->second.LruPos);
-    return It->second.Pte;
+    Entry &E = Entries[It->second];
+    E.LastUse = ++Clock;
+    return E.Pte;
   }
 
   /// Inserts or replaces the entry for \p Vpn, evicting the LRU entry when
   /// full.
   void insert(uint64_t Vpn, GpuPte Pte) {
-    auto It = Map.find(Vpn);
-    if (It != Map.end()) {
-      It->second.Pte = Pte;
-      Lru.splice(Lru.begin(), Lru, It->second.LruPos);
-      return;
+    auto It = Slots.find(Vpn);
+    if (It == Slots.end()) {
+      size_t Slot = Entries.size();
+      if (Slot < Capacity) {
+        Entries.emplace_back();
+      } else {
+        Slot = std::min_element(Entries.begin(), Entries.end(),
+                                [](const Entry &A, const Entry &B) {
+                                  return A.LastUse < B.LastUse;
+                                }) -
+               Entries.begin();
+        Slots.erase(Entries[Slot].Vpn);
+        ++NumEvictions;
+      }
+      It = Slots.emplace(Vpn, Slot).first;
     }
-    if (Map.size() >= Capacity) {
-      uint64_t Victim = Lru.back();
-      Lru.pop_back();
-      Map.erase(Victim);
-      ++NumEvictions;
-    }
-    Lru.push_front(Vpn);
-    Map.emplace(Vpn, Entry{Pte, Lru.begin()});
+    Entries[It->second] = {Vpn, Pte, ++Clock};
   }
 
   /// Drops every entry (e.g. on address-space change).
   void invalidateAll() {
-    Map.clear();
-    Lru.clear();
+    Slots.clear();
+    Entries.clear();
   }
 
-  /// Drops the entry for \p Vpn if present.
+  /// Drops the entry for \p Vpn if present; the last entry moves into its
+  /// slot so the array stays dense.
   void invalidate(uint64_t Vpn) {
-    auto It = Map.find(Vpn);
-    if (It == Map.end())
+    auto It = Slots.find(Vpn);
+    if (It == Slots.end())
       return;
-    Lru.erase(It->second.LruPos);
-    Map.erase(It);
+    size_t Slot = It->second;
+    Slots.erase(It);
+    if (Slot + 1 < Entries.size()) {
+      Entries[Slot] = Entries.back();
+      Slots[Entries[Slot].Vpn] = Slot;
+    }
+    Entries.pop_back();
   }
 
   unsigned capacity() const { return Capacity; }
-  uint64_t size() const { return Map.size(); }
+  uint64_t size() const { return Entries.size(); }
   uint64_t hits() const { return NumHits; }
   uint64_t misses() const { return NumMisses; }
   uint64_t evictions() const { return NumEvictions; }
 
 private:
   struct Entry {
+    uint64_t Vpn = 0;
     GpuPte Pte;
-    std::list<uint64_t>::iterator LruPos;
+    uint64_t LastUse = 0; ///< Clock at the last lookup hit or insert
   };
 
   unsigned Capacity;
-  std::unordered_map<uint64_t, Entry> Map;
-  std::list<uint64_t> Lru; // front = most recently used
+  std::vector<Entry> Entries;                ///< dense, in no order
+  std::unordered_map<uint64_t, size_t> Slots; ///< Vpn -> index in Entries
+  uint64_t Clock = 0;
   uint64_t NumHits = 0;
   uint64_t NumMisses = 0;
   uint64_t NumEvictions = 0;

@@ -358,6 +358,10 @@ Expected<AssembledKernel> xasm::assembleKernel(std::string_view Source,
     I.Op = *Op;
 
     const OpInfo &Row = opInfo(I.Op);
+    if (I.PredReg != NoPred && Row.needsPred())
+      return Error::make(formatString(
+          "line %u: %s names its predicate as an operand, not a prefix",
+          LineNo, Row.Name));
     size_t PartIdx = 1;
     if (I.Op == Opcode::Cmp) {
       if (Parts.size() < 2)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -341,7 +342,7 @@ Instruction randomInstruction(Rng &R, unsigned NumInsns) {
     I.Width = 4;
     I.Ty = ElemType::F32;
   }
-  if (Row.needsPred() || R.nextBelow(3) == 0) {
+  if (Row.needsPred() || (Row.LaneMask && R.nextBelow(3) == 0)) {
     I.PredReg = static_cast<uint8_t>(R.nextBelow(NumPRegs));
     I.PredNegate = R.nextBelow(2) == 0;
   }
@@ -360,6 +361,34 @@ std::vector<Instruction> randomProgram(Rng &R) {
 }
 
 } // namespace
+
+TEST(IsaValidateTest, PredicatePrefixOnlyWhereLanesAreMasked) {
+  // Restated from the backends, independently of the table: these
+  // opcodes never read a (pN) prefix, so validate must reject one.
+  const Opcode Unmasked[] = {Opcode::Jmp,  Opcode::Sid,    Opcode::Spawn,
+                             Opcode::Xmit, Opcode::Wait,   Opcode::Halt,
+                             Opcode::Nop,  Opcode::Sample};
+  Rng R(7);
+  unsigned Checked = 0;
+  for (unsigned Tries = 0; Checked < 400 && Tries < 100000; ++Tries) {
+    Instruction I = randomInstruction(R, 16);
+    if (opInfo(I.Op).needsPred())
+      continue;
+    ASSERT_EQ(validate(I), "") << disassemble(I);
+    I.PredReg = 1;
+    bool Masked = std::find(std::begin(Unmasked), std::end(Unmasked), I.Op) ==
+                  std::end(Unmasked);
+    EXPECT_EQ(validate(I).empty(), Masked) << disassemble(I);
+    ++Checked;
+  }
+  EXPECT_EQ(Checked, 400u);
+
+  Instruction J;
+  J.Op = Opcode::Jmp;
+  J.Src0 = Operand::label(0);
+  J.PredReg = 1;
+  EXPECT_EQ(validate(J), "jmp takes no predicate prefix");
+}
 
 class EncodingPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 

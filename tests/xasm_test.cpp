@@ -226,6 +226,16 @@ INSTANTIATE_TEST_SUITE_P(
         DiagCase{"UnknownSymbol", "  mov.1.dw vr0 = missing_var\n",
                  "unknown symbol"},
         DiagCase{"UndefinedLabel", "  jmp nowhere\n", "undefined label"},
+        DiagCase{"PredicatedJmp", "  (p1) jmp out\nout:\n  halt\n",
+                 "jmp takes no predicate prefix"},
+        DiagCase{"PredicatedHalt", "  (!p0) halt\n",
+                 "halt takes no predicate prefix"},
+        DiagCase{"PredicatedSample",
+                 "  (p2) sample.4.f [vr0..vr3] = (A, vr8, vr9)\n",
+                 "sample takes no predicate prefix"},
+        DiagCase{"PrefixedSel",
+                 "  (p1) sel.1.dw p2, vr0 = vr1, vr2\n",
+                 "names its predicate as an operand"},
         DiagCase{"DuplicateLabel", "x:\nx:\n  halt\n", "duplicate label"},
         DiagCase{"BadWidth", "  add.99.dw vr0 = vr1, vr2\n", "bad SIMD width"},
         DiagCase{"BadType", "  add.8.qq [vr0..vr7] = [vr8..vr15], 1\n",
