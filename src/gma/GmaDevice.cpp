@@ -35,9 +35,12 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <type_traits>
 
 using namespace exochi;
 using namespace exochi::gma;
@@ -199,7 +202,6 @@ struct GmaDevice::PendingOp {
   TimeNs IssueNs = 0;
   uint32_t EuIdx = 0;
   uint32_t Slot = 0;
-  uint64_t Seq = 0;    ///< per-EU issue sequence (sort tiebreaker)
   uint32_t NextPc = 0; ///< pc after the op completes
 
   /// Memory / Sampler / Exception: the issuing instruction, in its
@@ -231,8 +233,8 @@ struct GmaDevice::Eu {
   /// Offline this is a between-runs policy state that resetStats keeps.
   bool Quarantined = false;
 
+  /// Buffered ops in issue order (non-decreasing issue time).
   std::vector<PendingOp> Pending;
-  uint64_t NextSeq = 0;
 
   // Statistic shards, merged into GmaRunStats in EU-index order at every
   // run exit so double-precision accumulation order is fixed.
@@ -248,24 +250,202 @@ struct GmaDevice::Eu {
 
 namespace {
 
-/// Register index supplying lane \p Lane of operand \p O (handles scalar
-/// broadcast and F64 register pairs).
-unsigned laneReg(const Operand &O, unsigned Lane, ElemType Ty) {
-  unsigned PerLane = Ty == ElemType::F64 ? 2 : 1;
-  if (O.regCount() <= PerLane)
-    return O.Reg0; // broadcast
-  return O.Reg0 + Lane * PerLane;
+/// Lanes of \p I that its predicate prefix enables, one bit per lane
+/// below its width.
+uint32_t laneMask(const Instruction &I, const uint16_t *Preds) {
+  uint32_t All = (1u << I.Width) - 1;
+  if (I.PredReg == NoPred)
+    return All;
+  uint32_t P = Preds[I.PredReg];
+  return (I.PredNegate ? ~P : P) & All;
 }
 
-int64_t signExtend(int64_t V, ElemType Ty) {
-  switch (Ty) {
-  case ElemType::I8:
-    return static_cast<int8_t>(V);
-  case ElemType::I16:
-    return static_cast<int16_t>(V);
-  default:
-    return static_cast<int32_t>(V);
+/// Left shift that, undone arithmetically, narrows a 32-bit value to
+/// integer type \p Ty and sign-extends it back: 24 for I8, 16 for I16,
+/// and 0 for the 32-bit types, which it leaves as they are.
+unsigned narrowShift(ElemType Ty) { return 32 - 8 * elemTypeSize(Ty); }
+
+/// \p V truncated to the integer type of \p Sh = narrowShift(Ty) and
+/// sign-extended to 32 bits.
+int32_t narrow(int64_t V, unsigned Sh) {
+  return static_cast<int32_t>(static_cast<uint32_t>(V) << Sh) >> Sh;
+}
+
+/// Value of a scalar (index) operand.
+int64_t scalarVal(const isa::DecodedOperand &O, const uint32_t *Regs) {
+  return O.IsImm ? O.Imm : static_cast<int32_t>(Regs[O.Reg0]);
+}
+
+/// A source operand's lanes: lane L is P[L * Stride]. An immediate points
+/// at its own value with stride 0, as a broadcast register does.
+struct LaneSrc {
+  const uint32_t *P;
+  unsigned Stride;
+
+  uint32_t bits(unsigned L) const { return P[L * Stride]; }
+  int64_t i(unsigned L) const { return static_cast<int32_t>(bits(L)); }
+  float f(unsigned L) const { return std::bit_cast<float>(bits(L)); }
+  /// Lane L as an integer (with 64-bit intermediates) or a float.
+  template <typename T> T at(unsigned L) const {
+    if constexpr (std::is_same_v<T, float>)
+      return f(L);
+    else
+      return i(L);
   }
+};
+
+LaneSrc laneSrc(const isa::DecodedOperand &O, const uint32_t *Regs) {
+  if (O.IsImm)
+    return {reinterpret_cast<const uint32_t *>(&O.Imm), 0};
+  return {Regs + O.Reg0, O.Stride};
+}
+
+/// The operands of one ALU instruction, resolved once for its lane loop.
+struct AluLanes {
+  uint32_t *Dst;
+  unsigned DstStride;
+  LaneSrc A, B;
+  uint32_t Mask; ///< enabled lanes
+};
+
+// The lane loops visit the enabled lanes in order. Each lane reads its
+// sources (and, for mac, its destination) before writing its destination,
+// so a destination overlapping a source shows the lanes written before
+// it. Integer ops compute in 64 bits and narrow to the element type.
+
+template <unsigned Sh, typename Fn> void intLanes(const AluLanes &X, Fn F) {
+  for (uint32_t M = X.Mask; M; M &= M - 1) {
+    unsigned L = static_cast<unsigned>(std::countr_zero(M));
+    uint32_t &D = X.Dst[L * X.DstStride];
+    D = static_cast<uint32_t>(
+        narrow(F(X.A.i(L), X.B.i(L), static_cast<int32_t>(D)), Sh));
+  }
+}
+
+template <typename Fn> void f32Lanes(const AluLanes &X, Fn F) {
+  for (uint32_t M = X.Mask; M; M &= M - 1) {
+    unsigned L = static_cast<unsigned>(std::countr_zero(M));
+    uint32_t &D = X.Dst[L * X.DstStride];
+    D = std::bit_cast<uint32_t>(
+        F(X.A.f(L), X.B.f(L), std::bit_cast<float>(D)));
+  }
+}
+
+/// Runs integer ALU opcode \p Op on elements of narrowShift \p Sh.
+/// Returns false at the first enabled lane that divides by zero, with the
+/// lanes before it already written.
+template <unsigned Sh> bool intAlu(Opcode Op, const AluLanes &X) {
+  using I = int64_t;
+  switch (Op) {
+  case Opcode::Mov: intLanes<Sh>(X, [](I A, I, I) { return A; }); break;
+  case Opcode::Add: intLanes<Sh>(X, [](I A, I B, I) { return A + B; }); break;
+  case Opcode::Sub: intLanes<Sh>(X, [](I A, I B, I) { return A - B; }); break;
+  case Opcode::Mul: intLanes<Sh>(X, [](I A, I B, I) { return A * B; }); break;
+  case Opcode::Mac:
+    intLanes<Sh>(X, [](I A, I B, I D) { return D + A * B; });
+    break;
+  case Opcode::Div:
+    for (uint32_t M = X.Mask; M; M &= M - 1) {
+      unsigned L = static_cast<unsigned>(std::countr_zero(M));
+      I B = X.B.i(L);
+      if (B == 0)
+        return false;
+      X.Dst[L * X.DstStride] = static_cast<uint32_t>(narrow(X.A.i(L) / B, Sh));
+    }
+    break;
+  case Opcode::Min:
+    intLanes<Sh>(X, [](I A, I B, I) { return std::min(A, B); });
+    break;
+  case Opcode::Max:
+    intLanes<Sh>(X, [](I A, I B, I) { return std::max(A, B); });
+    break;
+  case Opcode::Avg:
+    intLanes<Sh>(X, [](I A, I B, I) { return (A + B + 1) >> 1; });
+    break;
+  case Opcode::Abs:
+    intLanes<Sh>(X, [](I A, I, I) { return A < 0 ? -A : A; });
+    break;
+  case Opcode::Shl:
+    intLanes<Sh>(X, [](I A, I B, I) { return A << (B & 31); });
+    break;
+  case Opcode::Shr:
+    intLanes<Sh>(X, [](I A, I B, I) {
+      return static_cast<I>(static_cast<uint32_t>(A) >> (B & 31));
+    });
+    break;
+  case Opcode::Asr:
+    intLanes<Sh>(X, [](I A, I B, I) {
+      return static_cast<I>(static_cast<int32_t>(A) >> (B & 31));
+    });
+    break;
+  case Opcode::And: intLanes<Sh>(X, [](I A, I B, I) { return A & B; }); break;
+  case Opcode::Or: intLanes<Sh>(X, [](I A, I B, I) { return A | B; }); break;
+  case Opcode::Xor: intLanes<Sh>(X, [](I A, I B, I) { return A ^ B; }); break;
+  case Opcode::Not: intLanes<Sh>(X, [](I A, I, I) { return ~A; }); break;
+  default:
+    exochiUnreachable("unhandled ALU opcode");
+  }
+  return true;
+}
+
+bool intAlu(Opcode Op, const AluLanes &X, ElemType Ty) {
+  switch (Ty) {
+  case ElemType::I8: return intAlu<24>(Op, X);
+  case ElemType::I16: return intAlu<16>(Op, X);
+  default: return intAlu<0>(Op, X);
+  }
+}
+
+/// Runs F32 ALU opcode \p Op. Returns false for an opcode that is not
+/// defined on floats.
+bool f32Alu(Opcode Op, const AluLanes &X) {
+  using F = float;
+  switch (Op) {
+  case Opcode::Mov: f32Lanes(X, [](F A, F, F) { return A; }); break;
+  case Opcode::Add: f32Lanes(X, [](F A, F B, F) { return A + B; }); break;
+  case Opcode::Sub: f32Lanes(X, [](F A, F B, F) { return A - B; }); break;
+  case Opcode::Mul: f32Lanes(X, [](F A, F B, F) { return A * B; }); break;
+  case Opcode::Mac: f32Lanes(X, [](F A, F B, F D) { return D + A * B; }); break;
+  // IEEE inf/nan, no fault.
+  case Opcode::Div: f32Lanes(X, [](F A, F B, F) { return A / B; }); break;
+  case Opcode::Min:
+    f32Lanes(X, [](F A, F B, F) { return std::min(A, B); });
+    break;
+  case Opcode::Max:
+    f32Lanes(X, [](F A, F B, F) { return std::max(A, B); });
+    break;
+  case Opcode::Avg:
+    f32Lanes(X, [](F A, F B, F) { return (A + B) * 0.5f; });
+    break;
+  case Opcode::Abs: f32Lanes(X, [](F A, F, F) { return std::fabs(A); }); break;
+  default:
+    return false;
+  }
+  return true;
+}
+
+/// cmp over the lanes in \p Mask, comparing as integers or floats:
+/// returns the predicate bits of the lanes where A <Cond> B holds.
+template <typename T>
+uint32_t cmpLanes(CmpOp Cond, LaneSrc A, LaneSrc B, uint32_t Mask) {
+  auto Run = [&](auto Holds) {
+    uint32_t Bits = 0;
+    for (uint32_t M = Mask; M; M &= M - 1) {
+      unsigned L = static_cast<unsigned>(std::countr_zero(M));
+      if (Holds(A.at<T>(L), B.at<T>(L)))
+        Bits |= 1u << L;
+    }
+    return Bits;
+  };
+  switch (Cond) {
+  case CmpOp::Eq: return Run(std::equal_to<T>());
+  case CmpOp::Ne: return Run(std::not_equal_to<T>());
+  case CmpOp::Lt: return Run(std::less<T>());
+  case CmpOp::Le: return Run(std::less_equal<T>());
+  case CmpOp::Gt: return Run(std::greater<T>());
+  case CmpOp::Ge: return Run(std::greater_equal<T>());
+  }
+  exochiUnreachable("bad CmpOp");
 }
 
 // Issue cost in EU cycles is precomputed per instruction at kernel
@@ -503,8 +683,10 @@ Expected<TimeNs> GmaDevice::accessMemoryAt(TimeNs Now, Context &Ctx,
     uint64_t Chunk = std::min(Remaining, mem::PageSize - mem::pageOffset(Cur));
     uint64_t Vpn = mem::pageNumber(Cur);
 
-    std::optional<mem::GpuPte> Pte = DeviceTlb.lookup(Vpn);
-    if (!Pte) {
+    mem::GpuPte Pte;
+    if (std::optional<mem::GpuPte> Hit = DeviceTlb.lookup(Vpn)) {
+      Pte = *Hit;
+    } else {
       // ATR: suspend and signal the IA32 sequencer for proxy execution.
       ++Stats.TlbMisses;
       if (!Proxy)
@@ -519,40 +701,42 @@ Expected<TimeNs> GmaDevice::accessMemoryAt(TimeNs Now, Context &Ctx,
             "shred %u: unserviceable fault at 0x%llx: %s", Ctx.ShredId,
             static_cast<unsigned long long>(Cur), Latency.message().c_str()));
       Now += *Latency;
-      Pte = DeviceTlb.lookup(Vpn);
-      if (!Pte)
+      std::optional<mem::GpuPte> Filled = DeviceTlb.lookup(Vpn);
+      if (!Filled)
         return Error::make("proxy handler did not install a TLB entry");
+      Pte = *Filled;
     }
-    if (IsWrite && !Pte->writable())
+    if (IsWrite && !Pte.writable())
       return Error::make(formatString(
           "shred %u: write to read-only page 0x%llx", Ctx.ShredId,
           static_cast<unsigned long long>(Cur)));
 
-    mem::PhysAddr Pa = (Pte->frame() << mem::PageShift) | mem::pageOffset(Cur);
+    mem::PhysAddr Pa = (Pte.frame() << mem::PageShift) | mem::pageOffset(Cur);
     AccessSegments.push_back({Pa, Chunk});
 
     // Timing. Loads through the shared cache stall the issuing context
     // (hits briefly, misses for a DRAM round trip); stores drain through
     // write buffers and never stall — they only consume bus bandwidth,
     // which later loads contend with.
+    const unsigned LineShift = Cache.lineShift();
+    const uint64_t First = Pa >> LineShift, Last = (Pa + Chunk - 1) >> LineShift;
     if (IsWrite) {
       (void)Bus.request(Now, Chunk);
-      if (Pte->memType() == mem::GpuMemType::Cached) {
+      if (Pte.memType() == mem::GpuMemType::Cached) {
         uint64_t Line = Config.CacheLineBytes;
-        for (uint64_t L = Pa / Line; L <= (Pa + Chunk - 1) / Line; ++L) {
-          auto R = Cache.access(L * Line, /*IsWrite=*/true);
+        for (uint64_t L = First; L <= Last; ++L) {
+          auto R = Cache.access(L << LineShift, /*IsWrite=*/true);
           if (R.Hit)
             ++Stats.CacheHits;
           if (R.WritebackVictim)
             (void)Bus.request(Now, Line);
         }
       }
-    } else if (Pte->memType() == mem::GpuMemType::Cached) {
+    } else if (Pte.memType() == mem::GpuMemType::Cached) {
       uint64_t Line = Config.CacheLineBytes;
-      uint64_t First = Pa / Line, Last = (Pa + Chunk - 1) / Line;
       TimeNs Done = Now;
       for (uint64_t L = First; L <= Last; ++L) {
-        auto R = Cache.access(L * Line, /*IsWrite=*/false);
+        auto R = Cache.access(L << LineShift, /*IsWrite=*/false);
         if (R.Hit) {
           ++Stats.CacheHits;
           Done = std::max(Done, Now + Config.CacheHitNs);
@@ -583,16 +767,20 @@ Expected<TimeNs> GmaDevice::accessMemoryAt(TimeNs Now, Context &Ctx,
   return Now;
 }
 
+// A segment never crosses a page: accessMemoryAt cuts the span at every
+// page boundary.
 void GmaDevice::readSegments(uint8_t *Dst) const {
   for (auto &[Pa, N] : AccessSegments) {
-    PM.read(Pa, Dst, N);
+    std::memcpy(Dst, PM.frameData(mem::pageNumber(Pa)) + mem::pageOffset(Pa),
+                N);
     Dst += N;
   }
 }
 
 void GmaDevice::writeSegments(const uint8_t *Src) {
   for (auto &[Pa, N] : AccessSegments) {
-    PM.write(Pa, Src, N);
+    std::memcpy(PM.frameData(mem::pageNumber(Pa)) + mem::pageOffset(Pa), Src,
+                N);
     Src += N;
   }
 }
@@ -604,22 +792,22 @@ void GmaDevice::writeSegments(const uint8_t *Src) {
 void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
   const std::vector<Instruction> &Code = Ctx.Kern->Code;
 
-  // Buffers \p Op with the common scheduling fields filled in.
-  auto Defer = [&](PendingOp Op, uint32_t NextPc) {
+  // Buffers an op of kind \p K that resumes at \p NextPc, with the common
+  // scheduling fields filled in; the caller fills in the rest.
+  auto Defer = [&](PendingOp::Kind K, uint32_t NextPc) -> PendingOp & {
+    PendingOp &Op = E.Pending.emplace_back();
+    Op.K = K;
     Op.IssueNs = E.Time;
     Op.EuIdx = E.Index;
     Op.Slot = Ctx.Slot;
-    Op.Seq = E.NextSeq++;
     Op.NextPc = NextPc;
-    E.Pending.push_back(std::move(Op));
+    return Op;
   };
 
   // Running past the end of the kernel behaves as halt.
   if (Ctx.Pc >= Code.size()) {
-    PendingOp Op;
-    Op.K = PendingOp::Kind::Retire;
+    PendingOp &Op = Defer(PendingOp::Kind::Retire, Ctx.Pc);
     Op.EndNs = std::max(E.Time, Ctx.StallUntil);
-    Defer(std::move(Op), Ctx.Pc);
     Ctx.St = Context::State::Blocked;
     return;
   }
@@ -636,55 +824,10 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
   // Defers a CEH exception for the proxy; the context parks until the
   // barrier, where the proxy call decides skip-or-terminate.
   auto RaiseException = [&](ExceptionKind Kind) {
-    PendingOp Op;
-    Op.K = PendingOp::Kind::Exception;
+    PendingOp &Op = Defer(PendingOp::Kind::Exception, NextPc);
     Op.Instr = &I;
     Op.Exc = Kind;
-    Defer(std::move(Op), NextPc);
     Ctx.St = Context::State::Blocked;
-  };
-
-  // Per-lane predication test.
-  auto LaneEnabled = [&](unsigned Lane) {
-    if (I.PredReg == NoPred)
-      return true;
-    bool Bit = (Ctx.Preds[I.PredReg] >> Lane) & 1;
-    return I.PredNegate ? !Bit : Bit;
-  };
-
-  // Lane readers over the pre-decoded operands (integer semantics use
-  // 64-bit intermediates). The decoded stride already encodes broadcast
-  // vs. per-lane register groups and F64 pairs.
-  auto ReadIntLane = [&](const isa::DecodedOperand &O,
-                         unsigned Lane) -> int64_t {
-    if (O.IsImm)
-      return O.Imm;
-    return static_cast<int32_t>(Ctx.Regs[O.Reg0 + Lane * O.Stride]);
-  };
-  auto ReadF32Lane = [&](const isa::DecodedOperand &O,
-                         unsigned Lane) -> float {
-    uint32_t Bits = O.IsImm ? static_cast<uint32_t>(O.Imm)
-                            : Ctx.Regs[O.Reg0 + Lane * O.Stride];
-    float F;
-    std::memcpy(&F, &Bits, 4);
-    return F;
-  };
-  auto WriteIntLane = [&](const isa::DecodedOperand &O, unsigned Lane,
-                          int64_t V) {
-    Ctx.Regs[O.Reg0 + Lane * O.Stride] =
-        static_cast<uint32_t>(signExtend(V, I.Ty));
-  };
-  auto WriteF32Lane = [&](const isa::DecodedOperand &O, unsigned Lane,
-                          float F) {
-    uint32_t Bits;
-    std::memcpy(&Bits, &F, 4);
-    Ctx.Regs[O.Reg0 + Lane * O.Stride] = Bits;
-  };
-  // Scalar value of an index operand.
-  auto ScalarVal = [&](const isa::DecodedOperand &O) -> int64_t {
-    if (O.IsImm)
-      return O.Imm;
-    return static_cast<int32_t>(Ctx.Regs[O.Reg0]);
   };
 
   switch (I.Op) {
@@ -692,10 +835,8 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
     break;
 
   case Opcode::Halt: {
-    PendingOp Op;
-    Op.K = PendingOp::Kind::Retire;
+    PendingOp &Op = Defer(PendingOp::Kind::Retire, NextPc);
     Op.EndNs = std::max(E.Time, Ctx.StallUntil);
-    Defer(std::move(Op), NextPc);
     Ctx.St = Context::State::Blocked;
     return;
   }
@@ -718,10 +859,8 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
   case Opcode::Spawn: {
     // Non-blocking: the child lands in the work queue at the barrier, in
     // issue-time order with every other spawn of the round.
-    PendingOp Op;
-    Op.K = PendingOp::Kind::Spawn;
-    Op.Value = static_cast<uint32_t>(ScalarVal(DI.Src0));
-    Defer(std::move(Op), NextPc);
+    PendingOp &Op = Defer(PendingOp::Kind::Spawn, NextPc);
+    Op.Value = static_cast<uint32_t>(scalarVal(DI.Src0, Ctx.Regs));
     break;
   }
 
@@ -730,12 +869,10 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
     // `wait` observes it there; a running target sees the register once
     // it next synchronizes (programs pair xmit with wait, as the paper's
     // inter-shred protocol does).
-    PendingOp Op;
-    Op.K = PendingOp::Kind::Xmit;
-    Op.Target = static_cast<uint32_t>(ScalarVal(DI.Src0));
-    Op.Value = static_cast<uint32_t>(ScalarVal(DI.Src1));
+    PendingOp &Op = Defer(PendingOp::Kind::Xmit, NextPc);
+    Op.Target = static_cast<uint32_t>(scalarVal(DI.Src0, Ctx.Regs));
+    Op.Value = static_cast<uint32_t>(scalarVal(DI.Src1, Ctx.Regs));
     Op.Reg = I.Dst.Reg0;
-    Defer(std::move(Op), NextPc);
     break;
   }
 
@@ -747,10 +884,8 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
       Ctx.RegReady[Reg] = false;
       break;
     }
-    PendingOp Op;
-    Op.K = PendingOp::Kind::Wait;
+    PendingOp &Op = Defer(PendingOp::Kind::Wait, NextPc);
     Op.Reg = Reg;
-    Defer(std::move(Op), NextPc);
     Ctx.St = Context::State::Blocked;
     return;
   }
@@ -758,78 +893,57 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
   case Opcode::Cmp: {
     if (I.Ty == ElemType::F64)
       return RaiseException(ExceptionKind::UnsupportedType);
-    for (unsigned L = 0; L < I.Width; ++L) {
-      if (!LaneEnabled(L))
-        continue;
-      bool R = false;
-      if (I.Ty == ElemType::F32) {
-        float A = ReadF32Lane(DI.Src0, L), B = ReadF32Lane(DI.Src1, L);
-        switch (I.Cmp) {
-        case CmpOp::Eq: R = A == B; break;
-        case CmpOp::Ne: R = A != B; break;
-        case CmpOp::Lt: R = A < B; break;
-        case CmpOp::Le: R = A <= B; break;
-        case CmpOp::Gt: R = A > B; break;
-        case CmpOp::Ge: R = A >= B; break;
-        }
-      } else {
-        int64_t A = ReadIntLane(DI.Src0, L), B = ReadIntLane(DI.Src1, L);
-        switch (I.Cmp) {
-        case CmpOp::Eq: R = A == B; break;
-        case CmpOp::Ne: R = A != B; break;
-        case CmpOp::Lt: R = A < B; break;
-        case CmpOp::Le: R = A <= B; break;
-        case CmpOp::Gt: R = A > B; break;
-        case CmpOp::Ge: R = A >= B; break;
-        }
-      }
-      Ctx.writePredLane(I.Dst.Reg0, L, R);
-    }
+    const uint32_t Mask = laneMask(I, Ctx.Preds);
+    const LaneSrc A = laneSrc(DI.Src0, Ctx.Regs), B = laneSrc(DI.Src1, Ctx.Regs);
+    uint32_t Bits = I.Ty == ElemType::F32
+                        ? cmpLanes<float>(I.Cmp, A, B, Mask)
+                        : cmpLanes<int64_t>(I.Cmp, A, B, Mask);
+    uint16_t &P = Ctx.Preds[I.Dst.Reg0];
+    P = static_cast<uint16_t>((P & ~Mask) | Bits);
     break;
   }
 
   case Opcode::Sel: {
+    // The predicate picks each lane's source; it masks no lane.
     if (I.Ty == ElemType::F64)
       return RaiseException(ExceptionKind::UnsupportedType);
-    for (unsigned L = 0; L < I.Width; ++L) {
-      bool Bit = (Ctx.Preds[I.PredReg] >> L) & 1;
-      if (I.PredNegate)
-        Bit = !Bit;
-      const isa::DecodedOperand &Src = Bit ? DI.Src0 : DI.Src1;
-      if (I.Ty == ElemType::F32)
-        WriteF32Lane(DI.Dst, L, ReadF32Lane(Src, L));
-      else
-        WriteIntLane(DI.Dst, L, ReadIntLane(Src, L));
-    }
+    const LaneSrc A = laneSrc(DI.Src0, Ctx.Regs), B = laneSrc(DI.Src1, Ctx.Regs);
+    uint32_t *D = Ctx.Regs + DI.Dst.Reg0;
+    const unsigned DS = DI.Dst.Stride, Sh = narrowShift(I.Ty);
+    uint32_t Pick = Ctx.Preds[I.PredReg];
+    if (I.PredNegate)
+      Pick = ~Pick;
+    for (unsigned L = 0; L < I.Width; ++L)
+      D[L * DS] = static_cast<uint32_t>(
+          narrow((Pick >> L) & 1 ? A.bits(L) : B.bits(L), Sh));
     break;
   }
 
   case Opcode::Cvt: {
     if (I.Ty == ElemType::F64 || I.SrcTy == ElemType::F64)
       return RaiseException(ExceptionKind::UnsupportedType);
-    for (unsigned L = 0; L < I.Width; ++L) {
-      if (!LaneEnabled(L))
-        continue;
-      // Read in source type (DI.Src0 was decoded with SrcTy's stride).
-      double V;
-      if (I.SrcTy == ElemType::F32) {
-        V = ReadF32Lane(DI.Src0, L);
-      } else {
-        V = static_cast<double>(signExtend(ReadIntLane(DI.Src0, L), I.SrcTy));
-      }
-      // Write in destination type (saturating for narrow integers, as
-      // media ISAs do).
+    // Src0 was decoded in the source type.
+    const LaneSrc S = laneSrc(DI.Src0, Ctx.Regs);
+    uint32_t *D = Ctx.Regs + DI.Dst.Reg0;
+    const unsigned DS = DI.Dst.Stride;
+    const bool FromF32 = I.SrcTy == ElemType::F32;
+    const unsigned SrcSh = narrowShift(I.SrcTy), Sh = narrowShift(I.Ty);
+    // Narrow integer destinations saturate, as media ISAs do.
+    double Lo, Hi;
+    switch (I.Ty) {
+    case ElemType::I8: Lo = -128; Hi = 127; break;
+    case ElemType::I16: Lo = -32768; Hi = 32767; break;
+    default: Lo = -2147483648.0; Hi = 2147483647.0; break;
+    }
+    for (uint32_t M = laneMask(I, Ctx.Preds); M; M &= M - 1) {
+      unsigned L = static_cast<unsigned>(std::countr_zero(M));
+      double V = FromF32 ? S.f(L) : narrow(S.i(L), SrcSh);
       if (I.Ty == ElemType::F32) {
-        WriteF32Lane(DI.Dst, L, static_cast<float>(V));
+        D[L * DS] = std::bit_cast<uint32_t>(static_cast<float>(V));
       } else {
-        double Lo, Hi;
-        switch (I.Ty) {
-        case ElemType::I8: Lo = -128; Hi = 127; break;
-        case ElemType::I16: Lo = -32768; Hi = 32767; break;
-        default: Lo = -2147483648.0; Hi = 2147483647.0; break;
-        }
         double Clamped = std::min(std::max(std::trunc(V), Lo), Hi);
-        WriteIntLane(DI.Dst, L, static_cast<int64_t>(Clamped));
+        D[L * DS] =
+            static_cast<uint32_t>(narrow(static_cast<int64_t>(Clamped), Sh));
       }
     }
     break;
@@ -848,21 +962,21 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
     // Bounds checks read only frozen context state, so they stay in the
     // advance phase; the timed + functional access is deferred.
     if (Is2D) {
-      int64_t X = ScalarVal(DI.Src1), Y = ScalarVal(DI.Src2);
+      int64_t X = scalarVal(DI.Src1, Ctx.Regs),
+              Y = scalarVal(DI.Src2, Ctx.Regs);
       if (X < 0 || Y < 0 || X + I.Width > S.Width ||
           Y >= static_cast<int64_t>(S.Height))
         return RaiseException(ExceptionKind::SurfaceBounds);
     } else {
-      int64_t FirstElem = ScalarVal(DI.Src1) + ScalarVal(DI.Src2);
+      int64_t FirstElem =
+          scalarVal(DI.Src1, Ctx.Regs) + scalarVal(DI.Src2, Ctx.Regs);
       if (FirstElem < 0 ||
           FirstElem + I.Width > static_cast<int64_t>(S.totalElements()))
         return RaiseException(ExceptionKind::SurfaceBounds);
     }
 
-    PendingOp Op;
-    Op.K = PendingOp::Kind::Memory;
+    PendingOp &Op = Defer(PendingOp::Kind::Memory, NextPc);
     Op.Instr = &I;
-    Defer(std::move(Op), NextPc);
     Ctx.St = Context::State::Blocked;
     return;
   }
@@ -875,77 +989,27 @@ void GmaDevice::issueInstruction(Eu &E, Context &Ctx) {
     if (S.Width == 0 || S.Height == 0)
       return RaiseException(ExceptionKind::SurfaceBounds);
 
-    PendingOp Op;
-    Op.K = PendingOp::Kind::Sampler;
+    PendingOp &Op = Defer(PendingOp::Kind::Sampler, NextPc);
     Op.Instr = &I;
-    Defer(std::move(Op), NextPc);
     Ctx.St = Context::State::Blocked;
     return;
   }
 
   default: {
-    // ALU operations.
+    // ALU operations: one lane loop per (opcode, int or F32).
     if (I.Ty == ElemType::F64)
       return RaiseException(ExceptionKind::UnsupportedType);
-
-    for (unsigned L = 0; L < I.Width; ++L) {
-      if (!LaneEnabled(L))
-        continue;
-      if (I.Ty == ElemType::F32) {
-        float A = ReadF32Lane(DI.Src0, L);
-        float B = ReadF32Lane(DI.Src1, L);
-        float R = 0;
-        switch (I.Op) {
-        case Opcode::Mov: R = A; break;
-        case Opcode::Add: R = A + B; break;
-        case Opcode::Sub: R = A - B; break;
-        case Opcode::Mul: R = A * B; break;
-        case Opcode::Mac: R = ReadF32Lane(DI.Dst, L) + A * B; break;
-        case Opcode::Div: R = A / B; break; // IEEE inf/nan, no fault
-        case Opcode::Min: R = std::min(A, B); break;
-        case Opcode::Max: R = std::max(A, B); break;
-        case Opcode::Avg: R = (A + B) * 0.5f; break;
-        case Opcode::Abs: R = std::fabs(A); break;
-        default:
-          E.ShardError = formatString(
-              "shred %u: %s is not defined for float operands", Ctx.ShredId,
-              opcodeName(I.Op));
-          return;
-        }
-        WriteF32Lane(DI.Dst, L, R);
-      } else {
-        int64_t A = ReadIntLane(DI.Src0, L);
-        int64_t B = ReadIntLane(DI.Src1, L);
-        int64_t R = 0;
-        switch (I.Op) {
-        case Opcode::Mov: R = A; break;
-        case Opcode::Add: R = A + B; break;
-        case Opcode::Sub: R = A - B; break;
-        case Opcode::Mul: R = A * B; break;
-        case Opcode::Mac: R = ReadIntLane(DI.Dst, L) + A * B; break;
-        case Opcode::Div:
-          if (B == 0)
-            return RaiseException(ExceptionKind::DivideByZero);
-          R = A / B;
-          break;
-        case Opcode::Min: R = std::min(A, B); break;
-        case Opcode::Max: R = std::max(A, B); break;
-        case Opcode::Avg: R = (A + B + 1) >> 1; break;
-        case Opcode::Abs: R = A < 0 ? -A : A; break;
-        case Opcode::Shl: R = A << (B & 31); break;
-        case Opcode::Shr:
-          R = static_cast<int64_t>(static_cast<uint32_t>(A) >> (B & 31));
-          break;
-        case Opcode::Asr: R = static_cast<int32_t>(A) >> (B & 31); break;
-        case Opcode::And: R = A & B; break;
-        case Opcode::Or: R = A | B; break;
-        case Opcode::Xor: R = A ^ B; break;
-        case Opcode::Not: R = ~A; break;
-        default:
-          exochiUnreachable("unhandled ALU opcode");
-        }
-        WriteIntLane(DI.Dst, L, R);
-      }
+    const AluLanes X{Ctx.Regs + DI.Dst.Reg0, DI.Dst.Stride,
+                     laneSrc(DI.Src0, Ctx.Regs), laneSrc(DI.Src1, Ctx.Regs),
+                     laneMask(I, Ctx.Preds)};
+    if (I.Ty != ElemType::F32) {
+      if (!intAlu(I.Op, X, I.Ty))
+        return RaiseException(ExceptionKind::DivideByZero);
+    } else if (!f32Alu(I.Op, X) && X.Mask) {
+      E.ShardError = formatString(
+          "shred %u: %s is not defined for float operands", Ctx.ShredId,
+          opcodeName(I.Op));
+      return;
     }
     break;
   }
@@ -1001,41 +1065,21 @@ void GmaDevice::advanceEu(Eu &E, TimeNs Horizon) {
 
 Error GmaDevice::resolveLoadStore(Eu &E, Context &Ctx, const PendingOp &Op) {
   const Instruction &I = *Op.Instr;
+  const isa::DecodedInsn &DI = Ctx.Dec->Insns[Op.Instr - Ctx.Kern->Code.data()];
   const SurfaceBinding &S = (*Ctx.Surfaces)[static_cast<size_t>(I.Src0.Imm)];
   unsigned Esz = elemTypeSize(I.Ty);
   bool IsWrite = I.Op == Opcode::St || I.Op == Opcode::StBlk;
   bool Is2D = I.Op == Opcode::LdBlk || I.Op == Opcode::StBlk;
-
-  auto LaneEnabled = [&](unsigned Lane) {
-    if (I.PredReg == NoPred)
-      return true;
-    bool Bit = (Ctx.Preds[I.PredReg] >> Lane) & 1;
-    return I.PredNegate ? !Bit : Bit;
-  };
-  auto ReadIntLane = [&](const Operand &O, unsigned Lane) -> int64_t {
-    if (O.Kind == OperandKind::Imm)
-      return O.Imm;
-    return static_cast<int32_t>(Ctx.Regs[laneReg(O, Lane, I.Ty)]);
-  };
-  auto WriteIntLane = [&](const Operand &O, unsigned Lane, int64_t V) {
-    Ctx.Regs[laneReg(O, Lane, I.Ty)] =
-        static_cast<uint32_t>(signExtend(V, I.Ty));
-  };
-  auto ScalarVal = [&](const Operand &O) -> int64_t {
-    if (O.Kind == OperandKind::Imm)
-      return O.Imm;
-    return static_cast<int32_t>(Ctx.Regs[O.Reg0]);
-  };
 
   // First element index accessed by lane 0 (bounds were validated at
   // issue; the context's registers are frozen while it is blocked, so
   // this recomputation sees the same values).
   int64_t FirstElem;
   if (Is2D) {
-    int64_t X = ScalarVal(I.Src1), Y = ScalarVal(I.Src2);
+    int64_t X = scalarVal(DI.Src1, Ctx.Regs), Y = scalarVal(DI.Src2, Ctx.Regs);
     FirstElem = Y * static_cast<int64_t>(S.Width) + X;
   } else {
-    FirstElem = ScalarVal(I.Src1) + ScalarVal(I.Src2);
+    FirstElem = scalarVal(DI.Src1, Ctx.Regs) + scalarVal(DI.Src2, Ctx.Regs);
   }
 
   mem::VirtAddr Va = S.Base + static_cast<uint64_t>(FirstElem) * Esz;
@@ -1045,60 +1089,65 @@ Error GmaDevice::resolveLoadStore(Eu &E, Context &Ctx, const PendingOp &Op) {
   if (!Done)
     return Done.takeError();
 
-  // Functional data movement over the access's physical segments.
+  // Functional data movement over the access's physical segments. Lane L
+  // of the data operand is Data[L * Stride] (and the next register for
+  // F64); the buffer holds lane L at byte L * Esz.
   uint8_t Buf[MaxWidth * 8];
   assert(Span <= sizeof(Buf) && "access wider than 16 lanes of 8 bytes");
+  uint32_t *Data = Ctx.Regs + DI.Dst.Reg0;
+  const unsigned Stride = DI.Dst.Stride;
+  const uint32_t Mask = laneMask(I, Ctx.Preds);
 
+  // Every copy below has a fixed size, so none becomes a library call.
   if (IsWrite) {
-    bool AnyMasked = false;
-    for (unsigned L = 0; L < I.Width; ++L)
-      if (!LaneEnabled(L))
-        AnyMasked = true;
-    if (AnyMasked)
+    if (Mask != (1u << I.Width) - 1)
       readSegments(Buf); // read-modify-write under predication
-    for (unsigned L = 0; L < I.Width; ++L) {
-      if (!LaneEnabled(L))
-        continue;
-      if (I.Ty == ElemType::F64) {
-        uint64_t Wide =
-            static_cast<uint64_t>(Ctx.Regs[laneReg(I.Dst, L, I.Ty)]) |
-            (static_cast<uint64_t>(Ctx.Regs[laneReg(I.Dst, L, I.Ty) + 1])
-             << 32);
-        std::memcpy(Buf + L * Esz, &Wide, 8);
-      } else {
-        // Store the low Esz bytes (two's complement truncation).
-        uint32_t U = static_cast<uint32_t>(ReadIntLane(I.Dst, L));
-        std::memcpy(Buf + L * Esz, &U, Esz);
+    for (uint32_t M = Mask; M; M &= M - 1) {
+      unsigned L = static_cast<unsigned>(std::countr_zero(M));
+      const uint32_t *R = Data + L * Stride;
+      uint8_t *P = Buf + L * Esz;
+      // Store the low Esz bytes (two's complement truncation).
+      switch (I.Ty) {
+      case ElemType::I8: *P = static_cast<uint8_t>(*R); break;
+      case ElemType::I16: {
+        uint16_t H = static_cast<uint16_t>(*R);
+        std::memcpy(P, &H, 2);
+        break;
+      }
+      case ElemType::F64: {
+        uint64_t Wide = R[0] | (static_cast<uint64_t>(R[1]) << 32);
+        std::memcpy(P, &Wide, 8);
+        break;
+      }
+      default: std::memcpy(P, R, 4); break;
       }
     }
     writeSegments(Buf);
   } else {
     readSegments(Buf);
-    for (unsigned L = 0; L < I.Width; ++L) {
-      if (!LaneEnabled(L))
-        continue;
-      if (I.Ty == ElemType::F64) {
-        uint64_t Wide = 0;
-        std::memcpy(&Wide, Buf + L * Esz, 8);
-        Ctx.Regs[laneReg(I.Dst, L, I.Ty)] = static_cast<uint32_t>(Wide);
-        Ctx.Regs[laneReg(I.Dst, L, I.Ty) + 1] =
-            static_cast<uint32_t>(Wide >> 32);
-      } else {
-        int64_t V = 0;
-        if (I.Ty == ElemType::I8) {
-          int8_t B;
-          std::memcpy(&B, Buf + L * Esz, 1);
-          V = B;
-        } else if (I.Ty == ElemType::I16) {
-          int16_t W;
-          std::memcpy(&W, Buf + L * Esz, 2);
-          V = W;
-        } else {
-          int32_t D;
-          std::memcpy(&D, Buf + L * Esz, 4);
-          V = D;
-        }
-        WriteIntLane(I.Dst, L, V);
+    for (uint32_t M = Mask; M; M &= M - 1) {
+      unsigned L = static_cast<unsigned>(std::countr_zero(M));
+      uint32_t *R = Data + L * Stride;
+      const uint8_t *P = Buf + L * Esz;
+      // Narrow integers sign-extend into their register.
+      switch (I.Ty) {
+      case ElemType::I8:
+        *R = static_cast<uint32_t>(static_cast<int8_t>(*P));
+        break;
+      case ElemType::I16: {
+        int16_t H;
+        std::memcpy(&H, P, 2);
+        *R = static_cast<uint32_t>(H);
+        break;
+      }
+      case ElemType::F64: {
+        uint64_t Wide;
+        std::memcpy(&Wide, P, 8);
+        R[0] = static_cast<uint32_t>(Wide);
+        R[1] = static_cast<uint32_t>(Wide >> 32);
+        break;
+      }
+      default: std::memcpy(R, P, 4); break;
       }
     }
   }
@@ -1113,19 +1162,11 @@ Error GmaDevice::resolveLoadStore(Eu &E, Context &Ctx, const PendingOp &Op) {
 
 Error GmaDevice::resolveSample(Eu &E, Context &Ctx, const PendingOp &Op) {
   const Instruction &I = *Op.Instr;
+  const isa::DecodedInsn &DI = Ctx.Dec->Insns[Op.Instr - Ctx.Kern->Code.data()];
   const SurfaceBinding &S = (*Ctx.Surfaces)[static_cast<size_t>(I.Src0.Imm)];
   ++Stats.SamplerOps;
 
-  auto ReadF32Lane0 = [&](const Operand &O) -> float {
-    uint32_t Bits = O.Kind == OperandKind::Imm
-                        ? static_cast<uint32_t>(O.Imm)
-                        : Ctx.Regs[laneReg(O, 0, I.Ty)];
-    float F;
-    std::memcpy(&F, &Bits, 4);
-    return F;
-  };
-
-  float U = ReadF32Lane0(I.Src1), V = ReadF32Lane0(I.Src2);
+  float U = laneSrc(DI.Src1, Ctx.Regs).f(0), V = laneSrc(DI.Src2, Ctx.Regs).f(0);
   // Clamp-to-edge addressing over a packed RGBA8 surface (one I32
   // element per pixel).
   auto Clamp = [](int X, int Hi) { return std::min(std::max(X, 0), Hi); };
@@ -1405,36 +1446,57 @@ Error GmaDevice::resolveOne(const PendingOp &Op) {
 }
 
 Error GmaDevice::resolvePending() {
-  size_t Total = 0;
-  for (auto &E : Eus)
-    Total += E->Pending.size();
-  if (Total == 0)
-    return Error::success();
-
-  std::vector<PendingOp> &Ops = Resolving;
-  Ops.clear();
-  Ops.reserve(Total);
-  for (auto &E : Eus) {
-    Ops.insert(Ops.end(), E->Pending.begin(), E->Pending.end());
-    E->Pending.clear();
+  // The arbitration rule: earlier issue first; EU index, then per-EU
+  // issue order break ties. This depends only on the simulated schedule.
+  // Each EU's buffer is already in issue order with non-decreasing issue
+  // times (its clock only moves forward), so merging the buffers by
+  // (issue time, EU index) gives that order.
+  auto Before = [](const ResolveCursor &A, const ResolveCursor &B) {
+    return A.Head < B.Head || (A.Head == B.Head && A.Eu < B.Eu);
+  };
+  // One cursor per EU with buffered ops, kept in merge order: sorted by
+  // the issue time of the EU's next op, then by EU index.
+  std::vector<ResolveCursor> &Order = Cursors;
+  Order.clear();
+  for (uint32_t K = 0; K < Eus.size(); ++K) {
+    const std::vector<PendingOp> &Ops = Eus[K]->Pending;
+    if (Ops.empty())
+      continue;
+    ResolveCursor C{Ops.front().IssueNs, K, 0};
+    Order.push_back(C);
+    size_t P = Order.size() - 1;
+    for (; P > 0 && Before(C, Order[P - 1]); --P)
+      Order[P] = Order[P - 1];
+    Order[P] = C;
   }
 
-  // The arbitration rule: earlier issue first; EU index, then per-EU
-  // issue sequence break ties. This depends only on the simulated
-  // schedule.
-  std::sort(Ops.begin(), Ops.end(),
-            [](const PendingOp &A, const PendingOp &B) {
-              if (A.IssueNs != B.IssueNs)
-                return A.IssueNs < B.IssueNs;
-              if (A.EuIdx != B.EuIdx)
-                return A.EuIdx < B.EuIdx;
-              return A.Seq < B.Seq;
-            });
-
-  for (const PendingOp &Op : Ops)
-    if (Error Err = resolveOne(Op))
-      return Err;
-  return Error::success();
+  Error Err = Error::success();
+  size_t Front = 0;
+  while (!Err && Front < Order.size()) {
+    // Resolve the first EU's ops while they come before the second EU's
+    // next one.
+    ResolveCursor C = Order[Front];
+    const std::vector<PendingOp> &Ops = Eus[C.Eu]->Pending;
+    const bool Alone = Front + 1 == Order.size();
+    do {
+      Err = resolveOne(Ops[C.Next++]);
+      if (C.Next < Ops.size())
+        C.Head = Ops[C.Next].IssueNs;
+    } while (!Err && C.Next < Ops.size() &&
+             (Alone || Before(C, Order[Front + 1])));
+    if (C.Next == Ops.size()) {
+      ++Front;
+      continue;
+    }
+    // Move the EU back behind the ones whose next op now comes first.
+    size_t P = Front;
+    for (; P + 1 < Order.size() && Before(Order[P + 1], C); ++P)
+      Order[P] = Order[P + 1];
+    Order[P] = C;
+  }
+  for (auto &E : Eus)
+    E->Pending.clear();
+  return Err;
 }
 
 void GmaDevice::preemptAll(TimeNs Now) {
@@ -1547,7 +1609,7 @@ Expected<RunExit> GmaDevice::resume() {
     // dropped MISP mailbox message) becomes a bounded, diagnosed error
     // instead of an eventual silent hang. Compared against the next
     // event time so the check is part of the deterministic schedule.
-    if (Config.WaitTimeoutNs > 0 &&
+    if (Config.WaitTimeoutNs > 0 && AnyWaiting &&
         NextT != std::numeric_limits<TimeNs>::infinity()) {
       for (auto &E : Eus)
         for (Context &C : E->Contexts)

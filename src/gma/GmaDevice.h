@@ -346,9 +346,15 @@ private:
   /// nothing.
   std::vector<std::pair<mem::PhysAddr, uint64_t>> AccessSegments;
 
-  /// Every EU's buffered ops in arbitration order, rebuilt by each
-  /// resolvePending (kept to reuse its storage).
-  std::vector<PendingOp> Resolving;
+  /// resolvePending's place in one EU's buffer: the index of its next op
+  /// and that op's issue time.
+  struct ResolveCursor {
+    TimeNs Head;
+    uint32_t Eu;
+    uint32_t Next;
+  };
+  /// resolvePending's cursors, kept to reuse the storage.
+  std::vector<ResolveCursor> Cursors;
 
   /// Cross-shred register mailbox for xmit to non-resident targets:
   /// shred id -> (reg, value) pairs, applied in one lookup at dispatch.

@@ -17,6 +17,7 @@
 #include "mem/PageTable.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -31,19 +32,29 @@ namespace mem {
 /// an eviction scans for the oldest stamp. The entries sit in one dense
 /// array because a cold TLB on a large working set evicts on nearly every
 /// miss.
+///
+/// A small direct-mapped table of hints, indexed by the low VPN bits,
+/// remembers the slot a VPN was last found in. A hint is only a guess:
+/// lookup trusts it when the entry in that slot still holds the VPN, and
+/// otherwise asks the Vpn -> slot map. Entries hold distinct VPNs, so a
+/// confirmed hint names the one entry the map would.
 class Tlb {
 public:
   explicit Tlb(unsigned Capacity) : Capacity(Capacity) {}
 
   /// Looks up \p Vpn; refreshes its LRU stamp on hit.
   std::optional<GpuPte> lookup(uint64_t Vpn) {
-    auto It = Slots.find(Vpn);
-    if (It == Slots.end()) {
-      ++NumMisses;
-      return std::nullopt;
+    uint32_t &Hint = Hints[Vpn & (NumHints - 1)];
+    if (Hint >= Entries.size() || Entries[Hint].Vpn != Vpn) {
+      auto It = Slots.find(Vpn);
+      if (It == Slots.end()) {
+        ++NumMisses;
+        return std::nullopt;
+      }
+      Hint = static_cast<uint32_t>(It->second);
     }
     ++NumHits;
-    Entry &E = Entries[It->second];
+    Entry &E = Entries[Hint];
     E.LastUse = ++Clock;
     return E.Pte;
   }
@@ -68,6 +79,7 @@ public:
       It = Slots.emplace(Vpn, Slot).first;
     }
     Entries[It->second] = {Vpn, Pte, ++Clock};
+    Hints[Vpn & (NumHints - 1)] = static_cast<uint32_t>(It->second);
   }
 
   /// Drops every entry (e.g. on address-space change).
@@ -104,9 +116,13 @@ private:
     uint64_t LastUse = 0; ///< Clock at the last lookup hit or insert
   };
 
+  /// Lookup hints: a power of two, so a hint is indexed by a mask.
+  static constexpr unsigned NumHints = 64;
+
   unsigned Capacity;
   std::vector<Entry> Entries;                ///< dense, in no order
   std::unordered_map<uint64_t, size_t> Slots; ///< Vpn -> index in Entries
+  std::array<uint32_t, NumHints> Hints{}; ///< low Vpn bits -> likely slot
   uint64_t Clock = 0;
   uint64_t NumHits = 0;
   uint64_t NumMisses = 0;
