@@ -107,7 +107,7 @@ struct Trace {
   std::shared_ptr<const isa::DecodedKernel> Pin; ///< keeps D pointers alive
 };
 
-/// Mirrors GmaDevice.cpp signExtend: narrow integer results live in
+/// Mirrors GmaDevice.cpp's `narrow`: narrow integer results live in
 /// registers sign-extended.
 int64_t signExtend(int64_t V, ElemType Ty) {
   switch (Ty) {
