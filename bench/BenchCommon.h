@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the experiment harnesses that regenerate the paper's
-/// tables and figures. Each bench binary prints a paper-style table; the
+/// Helpers shared by the bench binaries: bench_paper, which regenerates
+/// the paper's tables and figures, and the system's own benches. The
 /// EXOCHI_BENCH_SCALE environment variable (default 0.5, "1.0" = paper
 /// input sizes) controls workload size so quick runs stay quick.
 ///
@@ -23,10 +23,8 @@
 #include "support/Json.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -127,20 +125,16 @@ struct WorkloadInstance {
   std::unique_ptr<kernels::MediaWorkload> Workload;
 };
 
-/// Factory type: builds the workload (fresh every call so trials are
-/// independent).
-using WorkloadFactory =
-    std::function<std::unique_ptr<kernels::MediaWorkload>()>;
-
-/// Instantiates \p Make on a fresh platform with the given memory model.
-/// Aborts on setup errors (bench tool code).
+/// Wires \p WL to a fresh platform built from \p Config under the given
+/// memory model. Aborts on setup errors (bench tool code).
 inline WorkloadInstance
-instantiate(const WorkloadFactory &Make,
-            chi::MemoryModel Model = chi::MemoryModel::CCShared) {
+instantiate(std::unique_ptr<kernels::MediaWorkload> WL,
+            chi::MemoryModel Model = chi::MemoryModel::CCShared,
+            const exo::PlatformConfig &Config = {}) {
   WorkloadInstance W;
-  W.Platform = std::make_unique<exo::ExoPlatform>();
+  W.Platform = std::make_unique<exo::ExoPlatform>(Config);
   W.RT = std::make_unique<chi::Runtime>(*W.Platform, Model);
-  W.Workload = Make();
+  W.Workload = std::move(WL);
   chi::ProgramBuilder PB;
   cantFail(W.Workload->compile(PB));
   cantFail(W.RT->loadBinary(PB.binary()));
@@ -148,30 +142,8 @@ instantiate(const WorkloadFactory &Make,
   return W;
 }
 
-/// The ten Table 2 workload factories at \p Scale, in paper order.
-inline std::vector<std::pair<std::string, WorkloadFactory>>
-table2Factories(double Scale) {
-  using namespace kernels;
-  auto D = [Scale](uint32_t V) { return scaleDim(V, Scale); };
-  auto F = [Scale](uint32_t V) {
-    return std::max(6u, static_cast<uint32_t>(std::lround(V * Scale)));
-  };
-  std::vector<std::pair<std::string, WorkloadFactory>> Out;
-  Out.emplace_back("LinearFilter", WorkloadFactory([=] { return createLinearFilter(D(640), D(480)); }));
-  Out.emplace_back("SepiaTone", WorkloadFactory([=] { return createSepiaTone(D(640), D(480)); }));
-  Out.emplace_back("FGT", WorkloadFactory([=] { return createFGT(D(1024), D(768)); }));
-  Out.emplace_back("Bicubic", WorkloadFactory([=] { return createBicubic(D(720), D(480), F(30)); }));
-  Out.emplace_back("Kalman", WorkloadFactory([=] { return createKalman(D(512), D(256), F(30)); }));
-  Out.emplace_back("FMD", WorkloadFactory([=] { return createFMD(D(720), D(480), std::max(15u, F(60))); }));
-  Out.emplace_back("AlphaBlend", WorkloadFactory([=] { return createAlphaBlend(D(720), D(480), F(30)); }));
-  Out.emplace_back("BOB", WorkloadFactory([=] { return createBOB(D(720), D(480), F(30)); }));
-  Out.emplace_back("ADVDI", WorkloadFactory([=] { return createADVDI(D(720), D(480), F(30)); }));
-  Out.emplace_back("ProcAmp", WorkloadFactory([=] { return createProcAmp(D(720), D(480), F(30)); }));
-  return Out;
-}
-
 /// IA32-alone execution time of the full workload on a fresh CPU model.
-inline double cpuAloneNs(kernels::MediaWorkload &WL) {
+inline double cpuAloneNs(const kernels::MediaWorkload &WL) {
   mem::MemoryBus Bus;
   cpu::CpuModel Cpu(cpu::CpuConfig(), Bus);
   return Cpu.execute(0.0, WL.hostWorkFor(0, WL.totalStrips()));

@@ -34,9 +34,9 @@ struct Rates {
 };
 
 /// Measures per-strip rates from full runs on fresh platforms.
-Rates measure(const WorkloadFactory &Make) {
+Rates measure(const kernels::Table2Kernel &K, double Scale) {
   Rates R;
-  WorkloadInstance W = instantiate(Make);
+  WorkloadInstance W = instantiate(K.create(Scale));
   uint64_t Total = W.Workload->totalStrips();
   chi::RegionStats S = deviceRun(W);
   R.GmaAloneNs = S.totalNs();
@@ -100,10 +100,9 @@ int main() {
               "GMA-alone", "static 25%", "dyn 1/32", "dyn 1/8", "guided",
               "oracle-est");
 
-  for (auto &[Name, Make] : table2Factories(Scale)) {
-    Rates R = measure(Make);
-    WorkloadInstance W = instantiate(Make);
-    uint64_t Total = W.Workload->totalStrips();
+  for (const kernels::Table2Kernel &K : kernels::table2Kernels()) {
+    Rates R = measure(K, Scale);
+    uint64_t Total = K.create(Scale)->totalStrips();
 
     // Static 25% on the IA32 sequencer (Figure 10 partition 3).
     double Static25 =
@@ -117,7 +116,7 @@ int main() {
                     (R.GmaAloneNs + R.CpuAloneNs);
 
     std::printf("%-14s %10.2f %11.2f %11.2f %11.2f %11.2f %11.2f\n",
-                Name.c_str(), 1.0, Static25 / R.GmaAloneNs,
+                K.Name, 1.0, Static25 / R.GmaAloneNs,
                 DynFine / R.GmaAloneNs, DynCoarse / R.GmaAloneNs,
                 Guided / R.GmaAloneNs, Oracle / R.GmaAloneNs);
   }

@@ -26,11 +26,11 @@ struct Result {
   double DeviceMs = 0;
 };
 
-Result runOnce(const WorkloadFactory &Make, bool Optimize) {
+Result runOnce(const kernels::Table2Kernel &K, double Scale, bool Optimize) {
   Result R;
   auto Platform = std::make_unique<exo::ExoPlatform>();
   chi::Runtime RT(*Platform);
-  auto WL = Make();
+  auto WL = K.create(Scale);
   chi::ProgramBuilder PB;
   PB.setOptimize(Optimize);
   cantFail(WL->compile(PB));
@@ -52,10 +52,10 @@ int main() {
   std::printf("%-14s %10s %10s %12s %12s %9s\n", "kernel", "instrs",
               "instrs -O", "time ms", "time -O ms", "gain");
 
-  for (auto &[Name, Make] : table2Factories(Scale)) {
-    Result Base = runOnce(Make, false);
-    Result Opt = runOnce(Make, true);
-    std::printf("%-14s %10zu %10zu %12.3f %12.3f %8.1f%%\n", Name.c_str(),
+  for (const kernels::Table2Kernel &K : kernels::table2Kernels()) {
+    Result Base = runOnce(K, Scale, false);
+    Result Opt = runOnce(K, Scale, true);
+    std::printf("%-14s %10zu %10zu %12.3f %12.3f %8.1f%%\n", K.Name,
                 Base.Instrs, Opt.Instrs, Base.DeviceMs, Opt.DeviceMs,
                 100.0 * (Base.DeviceMs - Opt.DeviceMs) / Base.DeviceMs);
   }

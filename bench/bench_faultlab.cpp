@@ -53,13 +53,13 @@ struct Result {
 
 /// Best-of-trials wall clock of one configuration; a fresh platform per
 /// trial so cache, TLB, and bus state never carry over.
-Result runConfig(const std::string &Config, const WorkloadFactory &Make,
-                 const std::string &InjectSpec, int Trials) {
+Result runConfig(const std::string &Config, const kernels::Table2Kernel &K,
+                 double Scale, const std::string &InjectSpec, int Trials) {
   Result R;
   R.Config = Config;
   R.WallSec = 1e99;
   for (int Trial = 0; Trial < Trials; ++Trial) {
-    WorkloadInstance W = instantiate(Make);
+    WorkloadInstance W = instantiate(K.create(Scale));
     fault::FaultInjector Inj(42);
     if (Config != "baseline") {
       if (!InjectSpec.empty())
@@ -87,15 +87,7 @@ int main() {
   double Scale = benchScale();
   constexpr int Trials = 3;
 
-  auto Factories = table2Factories(Scale);
-  const WorkloadFactory *Make = nullptr;
-  for (auto &[Name, F] : Factories)
-    if (Name == "SepiaTone")
-      Make = &F;
-  if (!Make) {
-    std::fprintf(stderr, "bench_faultlab: SepiaTone factory missing\n");
-    return 1;
-  }
+  const kernels::Table2Kernel &Sepia = kernels::table2Kernels()[1];
 
   std::printf("=== FaultLab probe overhead + resilience (scale %.2f) ===\n",
               Scale);
@@ -104,9 +96,9 @@ int main() {
               "offline");
 
   std::vector<Result> Results;
-  Results.push_back(runConfig("baseline", *Make, "", Trials));
-  Results.push_back(runConfig("disarmed", *Make, "", Trials));
-  Results.push_back(runConfig("armed", *Make, "all:0.002", Trials));
+  Results.push_back(runConfig("baseline", Sepia, Scale, "", Trials));
+  Results.push_back(runConfig("disarmed", Sepia, Scale, "", Trials));
+  Results.push_back(runConfig("armed", Sepia, Scale, "all:0.002", Trials));
 
   double BaselineWall = Results[0].WallSec;
   for (Result &R : Results) {
@@ -123,7 +115,7 @@ int main() {
   bool Wrote = writeBenchJson("faultlab", [&](json::Writer &W) {
     W.member("scale", Scale)
         .member("trials", Trials)
-        .member("kernel", "SepiaTone")
+        .member("kernel", Sepia.Name)
         .member("results", Results);
   });
   return Wrote ? 0 : 1;

@@ -62,11 +62,11 @@ struct Result {
 /// compilation, the XVerify elision verdict, cold host caches) amortize
 /// out — jobs/sec here is the serving-throughput number, not the
 /// first-dispatch latency.
-double timedRun(const WorkloadFactory &Make, int64_t Backend,
-                int Trials, chi::RegionStats &Out) {
+double timedRun(const kernels::Table2Kernel &K, double Scale,
+                int64_t Backend, int Trials, chi::RegionStats &Out) {
   double Best = 1e99;
   for (int Trial = 0; Trial < Trials; ++Trial) {
-    WorkloadInstance W = instantiate(Make);
+    WorkloadInstance W = instantiate(K.create(Scale));
     W.RT->setFeature(chi::Feature::Backend, Backend);
     deviceRun(W); // warmup
     auto T0 = std::chrono::steady_clock::now();
@@ -90,13 +90,14 @@ int main() {
               "fast ms", "checked", "jobs/s", "speedup", "elide");
 
   std::vector<Result> Results;
-  for (auto &[Name, Make] : table2Factories(Scale)) {
+  for (const kernels::Table2Kernel &K : kernels::table2Kernels()) {
+    const char *Name = K.Name;
     Result R;
     R.Kernel = Name;
     chi::RegionStats Cycle, Fast, Checked;
-    R.CycleSec = timedRun(Make, 0, Trials, Cycle);
-    R.FastSec = timedRun(Make, 1, Trials, Fast);
-    R.FastCheckedSec = timedRun(Make, 2, Trials, Checked);
+    R.CycleSec = timedRun(K, Scale, 0, Trials, Cycle);
+    R.FastSec = timedRun(K, Scale, 1, Trials, Fast);
+    R.FastCheckedSec = timedRun(K, Scale, 2, Trials, Checked);
     R.SimInstructions = Cycle.Device.Instructions;
 
     if (Fast.Device.Backend != gma::BackendKind::Fast ||
@@ -104,7 +105,7 @@ int main() {
       std::fprintf(stderr,
                    "bench_jit: FATAL: %s fell back to the cycle backend "
                    "(not fast-eligible?)\n",
-                   Name.c_str());
+                   Name);
       return 1;
     }
     for (const chi::RegionStats *S : {&Fast, &Checked}) {
@@ -114,7 +115,7 @@ int main() {
         std::fprintf(stderr,
                      "bench_jit: FATAL: %s functional counters diverge "
                      "between backends (differential contract broken)\n",
-                     Name.c_str());
+                     Name);
         return 1;
       }
     }
@@ -124,17 +125,17 @@ int main() {
     // NumShreds * [min, max] of the static analysis under this
     // workload's real parameter envelope (DESIGN.md §15).
     {
-      WorkloadInstance W = instantiate(Make);
+      WorkloadInstance W = instantiate(K.create(Scale));
       const fatbin::CodeSection *Sec =
           W.RT->loadedSection(W.Workload->name());
       if (!Sec) {
         std::fprintf(stderr, "bench_jit: FATAL: %s kernel not loaded\n",
-                     Name.c_str());
+                     Name);
         return 1;
       }
       auto Prog = isa::decodeProgram(Sec->Code);
       if (!Prog) {
-        std::fprintf(stderr, "bench_jit: FATAL: %s: %s\n", Name.c_str(),
+        std::fprintf(stderr, "bench_jit: FATAL: %s: %s\n", Name,
                      Prog.message().c_str());
         return 1;
       }
@@ -155,14 +156,14 @@ int main() {
         std::fprintf(stderr,
                      "bench_jit: FATAL: %s issue cycles %.1f outside the "
                      "static envelope [%.1f, %.1f] x %.0f shreds\n",
-                     Name.c_str(), Cycle.Device.IssueCycles,
+                     Name, Cycle.Device.IssueCycles,
                      CR.minCycles(), CR.maxCycles(), Shreds);
         return 1;
       }
     }
 
     std::printf("%-14s %10.2f %10.2f %10.2f %10.1f %8.2fx %7.2fx\n",
-                Name.c_str(), R.CycleSec * 1e3, R.FastSec * 1e3,
+                Name, R.CycleSec * 1e3, R.FastSec * 1e3,
                 R.FastCheckedSec * 1e3, 1.0 / R.FastSec, R.speedup(),
                 R.elisionGain());
     Results.push_back(R);

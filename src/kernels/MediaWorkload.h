@@ -34,6 +34,7 @@
 #include "kernels/Surface.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -168,9 +169,38 @@ protected:
   HostCostModel Cost;
 };
 
-/// Factory for all ten Table 2 workloads. \p Scale in (0, 1] shrinks the
-/// paper's input sizes for quick runs (1.0 = paper sizes; dimensions are
-/// kept multiples of 16 and at least 32).
+/// One input size Table 2 lists for a kernel, with the paper's shred
+/// count for it.
+struct Table2Input {
+  uint32_t W, H;
+  uint32_t Frames; ///< 0 for a still image
+  uint64_t PaperShreds;
+  const char *Label; ///< Table 2's "data size" column
+};
+
+/// One Table 2 kernel: its paper input sizes and its factory.
+struct Table2Kernel {
+  const char *Name;
+  Table2Input Input; ///< the size the figures run, scaled
+  std::optional<Table2Input> Large; ///< Table 2's second size, if any
+  uint32_t MinFrames; ///< frame floor of a scaled-down video
+  std::unique_ptr<MediaWorkload> (*Create)(uint32_t W, uint32_t H,
+                                           uint32_t Frames);
+
+  /// A fresh workload at exactly \p In.
+  std::unique_ptr<MediaWorkload> create(const Table2Input &In) const {
+    return Create(In.W, In.H, In.Frames);
+  }
+  /// A fresh workload at \p Scale in (0, 1] of Input (1.0 = paper size;
+  /// dimensions are kept multiples of 16 and at least 32).
+  std::unique_ptr<MediaWorkload> create(double Scale) const;
+};
+
+/// The ten Table 2 kernels, in paper order.
+const std::vector<Table2Kernel> &table2Kernels();
+
+/// All ten Table 2 workloads at \p Scale (Table2Kernel::create), in paper
+/// order.
 std::vector<std::unique_ptr<MediaWorkload>> createTable2Workloads(
     double Scale = 1.0);
 

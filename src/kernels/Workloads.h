@@ -9,18 +9,8 @@
 /// returns a MediaWorkload carrying both the XGMA strip kernel and the
 /// bit-identical instrumented IA32 implementation.
 ///
-/// | Kernel       | Paper input            | Paper #shreds |
-/// |--------------|------------------------|---------------|
-/// | LinearFilter | 640x480 / 2000x2000    | 6480 / 83500  |
-/// | SepiaTone    | 640x480 / 2000x2000    | 4800 / 62500  |
-/// | FGT          | 1024x768               | 96            |
-/// | Bicubic      | 30f 360x240 -> 720x480 | 2700          |
-/// | Kalman       | 30f 512x256 / 2048x1024| 4096 / 65536  |
-/// | FMD          | 60f 720x480            | 1276          |
-/// | AlphaBlend   | 64x32 onto 720x480     | 2700          |
-/// | BOB          | 30f 720x480            | 2700          |
-/// | ADVDI        | 30f 720x480            | 2700          |
-/// | ProcAmp      | 30f 720x480            | 2700          |
+/// Table 2's input sizes and shred counts for each kernel are listed
+/// once, in table2Kernels() (Registry.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
